@@ -13,7 +13,6 @@ from .errors import (
     BelowCritical,
     DivergentIntegral,
     DivergentModulus,
-    NegativeRadicand,
     NoBracket,
     NoConvergence,
     OutOfAnnulus,
@@ -21,7 +20,6 @@ from .errors import (
     PerturbationLeavesRange,
     ProfileMismatch,
     StencilOutOfDomain,
-    StepUnderflow,
     UnknownMetric,
 )
 from .fields import (
@@ -46,11 +44,9 @@ from .metrics import (
     parse_metric,
 )
 from .numerics import (
-    Interpolant,
     find_root_bracketed,
     integrate_adaptive,
     minimize_scalar,
-    ode_integrate,
 )
 from .solver import (
     CONFORMAL,
@@ -59,6 +55,7 @@ from .solver import (
     SUBCRITICAL,
     MinimizerProfile,
     ProblemSpec,
+    Psi,
     SolverConfig,
     build_profile,
     critical_constant,

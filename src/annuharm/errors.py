@@ -33,10 +33,6 @@ class NoBracket(AnnuharmError):
     """Root finding was given endpoints with equal signs."""
 
 
-class StepUnderflow(AnnuharmError):
-    """The ODE step size collapsed below the resolvable scale."""
-
-
 class BelowCritical(AnnuharmError):
     """The requested domain annulus is fatter than the critical configuration
     admits; no radial minimizer exists.
@@ -57,12 +53,8 @@ class DivergentModulus(AnnuharmError):
 
 
 class ProfileMismatch(AnnuharmError):
-    """The integrated profile missed the inner target radius: the supplied
+    """The profile missed the inner target radius: the supplied
     (q, Q, r, c) combination is inconsistent."""
-
-
-class NegativeRadicand(AnnuharmError):
-    """The profile ODE radicand went negative beyond the rounding allowance."""
 
 
 class OutOfAnnulus(AnnuharmError):

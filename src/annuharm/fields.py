@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OutOfAnnulus
 from .metrics import RadialMetric
-from .numerics import _golden_section, integrate_adaptive, minimize_scalar
+from .numerics import minimize_scalar
 from .solver import MinimizerProfile
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "export_grid",
 ]
 
-_ENERGY_TOL = 1e-11
 _ANNULUS_SLACK = 1e-12
 
 
@@ -85,31 +84,29 @@ def _require_in_annulus(profile: MinimizerProfile, s: float) -> None:
         raise OutOfAnnulus(f"|z| = {s} outside the closed annulus [{r}, 1]")
 
 
-def map_point(profile: MinimizerProfile, z: complex) -> complex:
-    """w(z) = p(|z|) z / |z|."""
-    s = abs(z)
-    _require_in_annulus(profile, s)
-    return profile.profile(s) * z / s
-
-
-def derivatives_point(profile: MinimizerProfile, z: complex) -> tuple[complex, complex]:
-    """(w_z, w_zbar) at z, with p' taken from the profile ODE."""
+def _radial(profile: MinimizerProfile, z: complex) -> tuple[float, float, float]:
+    """(|z|, p, p') at z, each radius evaluated once."""
     s = abs(z)
     _require_in_annulus(profile, s)
     p = profile.profile(s)
-    dp = profile.slope(s)
-    wz = complex(0.5 * (dp + p / s), 0.0)
-    phase = (z / s) ** 2
-    wzb = 0.5 * (dp - p / s) * phase
-    return wz, wzb
+    return s, p, profile.psi.slope(s, p)
+
+
+def map_point(profile: MinimizerProfile, z: complex) -> complex:
+    """w(z) = p(|z|) z / |z|."""
+    s, p, _ = _radial(profile, z)
+    return p * z / s
+
+
+def derivatives_point(profile: MinimizerProfile, z: complex) -> tuple[complex, complex]:
+    """(w_z, w_zbar) at z, with p' taken from the first integral."""
+    s, p, dp = _radial(profile, z)
+    return complex(0.5 * (dp + p / s), 0.0), 0.5 * (dp - p / s) * (z / s) ** 2
 
 
 def operator_norms(profile: MinimizerProfile, z: complex) -> tuple[float, float]:
     """(|Dw|, l(Dw)) = (max, min) of {p/s, p'} at |z|."""
-    s = abs(z)
-    _require_in_annulus(profile, s)
-    p = profile.profile(s)
-    dp = profile.slope(s)
+    s, p, dp = _radial(profile, z)
     tangential = p / s
     return max(tangential, dp), min(tangential, dp)
 
@@ -117,23 +114,21 @@ def operator_norms(profile: MinimizerProfile, z: complex) -> tuple[float, float]
 def hopf_quantity(profile: MinimizerProfile, metric: RadialMetric, z: complex) -> complex:
     """rho(|w|) w_z conj(w_zbar); multiplied by z^2 this is the real
     constant c/4."""
-    s = abs(z)
-    _require_in_annulus(profile, s)
-    wz, wzb = derivatives_point(profile, z)
-    p = profile.profile(s)
-    return metric.eval(p) * wz * np.conj(wzb)
+    s, p, dp = _radial(profile, z)
+    return metric.eval(p) * 0.25 * (dp * dp - (p / s) ** 2) * np.conj(z / s) ** 2
 
 
 def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
-    """Weighted Dirichlet energy 2 pi int_r^1 rho(p) (p'^2 + p^2/s^2) s ds."""
-    r = profile.spec.r
+    """Weighted Dirichlet energy 2 pi int_r^1 rho(p) (p'^2 + p^2/s^2) s ds.
 
-    def integrand(s):
-        p = profile.profile(s)
-        dp = profile.slope(s)
-        return metric.eval(p) * (dp * dp + (p / s) ** 2) * s
-
-    return 2.0 * math.pi * integrate_adaptive(integrand, r, 1.0, _ENERGY_TOL)
+    With p' = sqrt(p^2 + c/rho(p)) / s and ds/s = dp / sqrt(p^2 + c/rho(p))
+    it becomes 2 pi int_{p(r)}^Q (2 y^2 rho(y) + c) / sqrt(y^2 + c/rho(y)) dy,
+    integrated on the panels of the profile's first integral.
+    """
+    c = profile.c
+    inner = profile.profile(profile.spec.r)
+    weight = lambda y: 2.0 * y * y * metric.eval(y) + c
+    return 2.0 * math.pi * profile.psi.integrate(weight, inner)
 
 
 def lipschitz_constant(
@@ -141,34 +136,36 @@ def lipschitz_constant(
 ) -> tuple[float, float]:
     """(sup |Dw|, inf l(Dw)) over the annulus.
 
-    Both quantities are t-independent for radial maps, so a dense s-scan
-    with golden-section refinement is exact in practice.
+    Both quantities are t-independent for radial maps.  They are scanned
+    densely in the first integral's variable v, where p = y(v) and s =
+    exp(-Psi) are explicit, and the scan winners are refined by zooming.
     """
-    r = profile.spec.r
-    s = np.linspace(r, 1.0, 2048)
-    p = profile.profile(s)
-    dp = profile.slope(s)
-    tangential = p / s
-    op = np.maximum(tangential, dp)
-    lo = np.minimum(tangential, dp)
+    psi = profile.psi
+    v_inner = psi.v_of_log(math.log(1.0 / profile.spec.r))[0]
 
-    def op_at(x: float) -> float:
-        return max(profile.profile(x) / x, profile.slope(x))
+    def stretches(v):
+        """(p/s, p') at y(v)."""
+        p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
+        return p / s, psi.slope(s, p)
 
-    def lo_at(x: float) -> float:
-        return min(profile.profile(x) / x, profile.slope(x))
-
-    i = int(np.argmax(op))
-    _, neg_sup = _golden_section(
-        lambda x: -op_at(x), s[max(i - 1, 0)], s[min(i + 1, len(s) - 1)], 1e-12
-    )
-    sup_op = max(-neg_sup, float(op[i]))
-    j = int(np.argmin(lo))
-    _, inf_ref = _golden_section(
-        lo_at, s[max(j - 1, 0)], s[min(j + 1, len(s) - 1)], 1e-12
-    )
-    inf_lo = min(inf_ref, float(lo[j]))
+    scan = np.linspace(v_inner, psi.edges[-1], 2048)
+    tangential, dp = stretches(scan)
+    sup_op = _zoom_max(lambda v: np.maximum(*stretches(v)), scan,
+                       np.maximum(tangential, dp))
+    inf_lo = -_zoom_max(lambda v: -np.minimum(*stretches(v)), scan,
+                        -np.minimum(tangential, dp))
     return sup_op, inf_lo
+
+
+def _zoom_max(f, x: np.ndarray, y: np.ndarray) -> float:
+    """Refine the maximum of a scan y = f(x): seven 33-point scans, each
+    shrinking the bracket around the winner 16-fold.  The scan's endpoints
+    stay candidates."""
+    for _ in range(7):
+        k = int(np.argmax(y))
+        x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
+        y = f(x)
+    return float(np.max(y))
 
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:
@@ -182,20 +179,25 @@ def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float
 def field_arrays(
     profile: MinimizerProfile, metric: RadialMetric, s: np.ndarray, t: np.ndarray
 ) -> dict:
-    """Vectorized field quantities on the tensor grid s x t (s-major)."""
-    S, T = np.meshgrid(np.asarray(s, float), np.asarray(t, float), indexing="ij")
-    P = profile.profile(S)
-    DP = profile.slope(S)
+    """Vectorized field quantities on the tensor grid s x t (s-major).
+
+    The radial quantities are evaluated once per radius and broadcast over t.
+    """
+    s = np.asarray(s, float)
+    S, T = np.meshgrid(s, np.asarray(t, float), indexing="ij")
+    p = profile.profile(s)
+    dp = profile.psi.slope(s, p)
+    column = lambda x: np.broadcast_to(x[:, None], S.shape)
+    P, DP, tangential = column(p), column(dp), column(p / s)
     phase = np.exp(1j * T)
     Z = S * phase
     W = P * phase
-    tangential = P / S
     wz = (0.5 * (DP + tangential)).astype(complex)
     wzb = 0.5 * (DP - tangential) * phase**2
-    jac = P * DP / S
+    jac = column(p * dp / s)
     opnorm = np.maximum(tangential, DP)
     lonorm = np.minimum(tangential, DP)
-    hopf = metric.eval(P) * wz * np.conj(wzb)
+    hopf = column(metric.eval(p)) * wz * np.conj(wzb)
     return {
         "s": S, "t": T, "z": Z, "w": W, "wz": wz, "wzb": wzb,
         "jac": jac, "opnorm": opnorm, "lonorm": lonorm, "hopf": hopf,

@@ -1,10 +1,8 @@
 """Shared numerical kernels.
 
 Adaptive quadrature with integrable-endpoint handling, bracketed root
-finding, scalar minimization by scan + golden section, an embedded
-Runge-Kutta integrator with dense monotone-cubic output, and the
-monotone-cubic interpolant itself.  Tolerances are absolute-error targets;
-every routine either meets its target or raises.
+finding and scalar minimization by scan + golden section.  Tolerances are
+absolute-error targets; every routine either meets its target or raises.
 """
 
 from __future__ import annotations
@@ -14,16 +12,13 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from .errors import DivergentIntegral, NoBracket, NoConvergence, StepUnderflow
+from .errors import DivergentIntegral, NoBracket, NoConvergence
 
 __all__ = [
-    "Interpolant",
     "integrate_adaptive",
     "find_root_bracketed",
     "minimize_scalar",
-    "ode_integrate",
 ]
 
 _EPS = np.finfo(float).eps
@@ -80,26 +75,43 @@ _SINGULAR_MAGNITUDE = 1e6
 _SINGULAR_GROWTH = 1e4
 
 
-def _panel(F: _ArrayFunc, lo: float, hi: float) -> tuple[float, float]:
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    coarse = half * float(np.dot(_GAUSS_LO[1], F(mid + half * _GAUSS_LO[0])))
-    fine = half * float(np.dot(_GAUSS_HI[1], F(mid + half * _GAUSS_HI[0])))
-    return fine, abs(fine - coarse)
+# both rules' nodes: the integrand's call overhead dominates small panels,
+# so all nodes of the panels being scored go through one call
+_GAUSS_NODES = np.concatenate((_GAUSS_LO[0], _GAUSS_HI[0]))
+_N_LO = _GAUSS_LO[0].size
 
 
-def _adaptive_core(F: _ArrayFunc, a: float, b: float, tol: float) -> float:
+def _panels(F: _ArrayFunc, bounds) -> list[tuple[float, float]]:
+    """(value, error estimate) of the paired Gauss rules on each (lo, hi)."""
+    vals = F(np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
+                             for lo, hi in bounds]))
+    out = []
+    for i, (lo, hi) in enumerate(bounds):
+        v = vals[i * _GAUSS_NODES.size:(i + 1) * _GAUSS_NODES.size]
+        half = 0.5 * (hi - lo)
+        coarse = half * float(np.dot(_GAUSS_LO[1], v[:_N_LO]))
+        fine = half * float(np.dot(_GAUSS_HI[1], v[_N_LO:]))
+        out.append((fine, abs(fine - coarse)))
+    return out
+
+
+def _adaptive_core(
+    F: _ArrayFunc, a: float, b: float, tol: float
+) -> tuple[float, np.ndarray]:
     """Globally adaptive bisection with a paired Gauss rule per panel.
 
     The panel with the worst error estimate is refined first, so sharp
     boundary layers cannot starve the error budget of the smooth remainder.
+    Returns the integral and the accepted panels as rows (lo, hi, value) in
+    increasing order.
     """
     span = b - a
     floor_width = 1e-13 * span
-    value, err = _panel(F, a, b)
+    (value, err), = _panels(F, [(a, b)])
     heap = [(-err, a, b, value)]
     refinable_err = err
-    settled: list[tuple[float, float]] = []  # (value, err) at rounding floor
+    # heap-shaped entries (-err, lo, hi, value) of panels at rounding floor
+    settled: list[tuple[float, float, float, float]] = []
     settled_err = 0.0
     n_panels = 1
     while heap and refinable_err + settled_err > tol:
@@ -112,12 +124,12 @@ def _adaptive_core(F: _ArrayFunc, a: float, b: float, tol: float) -> float:
                 raise DivergentIntegral(
                     f"integrand not resolvable near [{lo}, {hi}]"
                 )
-            settled.append((val, worst))
+            settled.append((neg_err, lo, hi, val))
             settled_err += worst
             continue
         mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sub_val, sub_err = _panel(F, sub_lo, sub_hi)
+        halves = ((lo, mid), (mid, hi))
+        for (sub_lo, sub_hi), (sub_val, sub_err) in zip(halves, _panels(F, halves)):
             if not np.isfinite(sub_err):
                 sub_err = math.inf
             heapq.heappush(heap, (-sub_err, sub_lo, sub_hi, sub_val))
@@ -127,10 +139,11 @@ def _adaptive_core(F: _ArrayFunc, a: float, b: float, tol: float) -> float:
             raise NoConvergence(
                 f"quadrature on [{a}, {b}] exceeded {_MAX_PANELS} panels"
             )
-    total = math.fsum([v for v, _ in settled] + [entry[3] for entry in heap])
+    panels = np.array(settled + heap)[:, 1:]
+    total = math.fsum(panels[:, 2])
     if not np.isfinite(total):
         raise DivergentIntegral(f"integral over [{a}, {b}] is not finite")
-    return total
+    return total, panels[np.argsort(panels[:, 0])]
 
 
 def _divergence_guard(F: _ArrayFunc, endpoint: float, inward: float) -> None:
@@ -149,18 +162,13 @@ def _divergence_guard(F: _ArrayFunc, endpoint: float, inward: float) -> None:
         )
 
 
-def _integrate_left_singular(F: _ArrayFunc, a: float, b: float, tol: float) -> float:
-    _divergence_guard(F, a, +1.0)
-    big = math.sqrt(b - a)
-    transformed = _ArrayFunc(lambda u: 2.0 * u * F(a + u * u))
-    return _adaptive_core(transformed, 0.0, big, tol)
-
-
-def _integrate_right_singular(F: _ArrayFunc, a: float, b: float, tol: float) -> float:
-    _divergence_guard(F, b, -1.0)
-    big = math.sqrt(b - a)
-    transformed = _ArrayFunc(lambda u: 2.0 * u * F(b - u * u))
-    return _adaptive_core(transformed, 0.0, big, tol)
+def _integrate_singular(F: _ArrayFunc, endpoint: float, inward: float,
+                        span: float, tol: float) -> float:
+    """Integral over the span next to a singular endpoint, by y = endpoint
+    +/- u^2 (inward = +1 for the left end, -1 for the right one)."""
+    _divergence_guard(F, endpoint, inward)
+    transformed = _ArrayFunc(lambda u: 2.0 * u * F(endpoint + inward * u * u))
+    return _adaptive_core(transformed, 0.0, math.sqrt(span), tol)[0]
 
 
 def integrate_adaptive(
@@ -210,13 +218,13 @@ def integrate_adaptive(
 
     if singular_left and singular_right:
         mid = 0.5 * (a + b)
-        return _integrate_left_singular(F, a, mid, 0.5 * tol) + \
-            _integrate_right_singular(F, mid, b, 0.5 * tol)
+        return _integrate_singular(F, a, 1.0, mid - a, 0.5 * tol) + \
+            _integrate_singular(F, b, -1.0, b - mid, 0.5 * tol)
     if singular_left:
-        return _integrate_left_singular(F, a, b, tol)
+        return _integrate_singular(F, a, 1.0, span, tol)
     if singular_right:
-        return _integrate_right_singular(F, a, b, tol)
-    return _adaptive_core(F, a, b, tol)
+        return _integrate_singular(F, b, -1.0, span, tol)
+    return _adaptive_core(F, a, b, tol)[0]
 
 
 def find_root_bracketed(
@@ -310,177 +318,3 @@ def minimize_scalar(
         if cy < best_y:
             best_x, best_y = cx, cy
     return best_x, best_y
-
-
-class Interpolant:
-    """Monotone-cubic interpolant through strictly increasing knots.
-
-    Evaluation reproduces knot values exactly, and strictly monotone data
-    yields a monotone interpolant.  Without supplied derivatives the slopes
-    are the shape-preserving harmonic means (pchip); with ``derivs`` the
-    supplied slopes are used after Fritsch-Carlson limiting, which keeps the
-    monotone guarantee while gaining an order of accuracy when the slopes
-    are exact.
-    """
-
-    mode = "monotone-cubic"
-
-    def __init__(self, knots, values, derivs=None):
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-            raise ValueError("need matching 1-D knots/values with >= 2 points")
-        if not np.all(np.diff(knots) > 0.0):
-            raise ValueError("knots must be strictly increasing")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise ValueError("knots and values must be finite")
-        self.knots = knots
-        self.values = values
-        if derivs is None:
-            self._spline = PchipInterpolator(knots, values, extrapolate=True)
-        else:
-            slopes = self._limited(knots, values, np.asarray(derivs, dtype=float))
-            self._spline = CubicHermiteSpline(knots, values, slopes,
-                                              extrapolate=True)
-
-    @staticmethod
-    def _limited(knots, values, derivs):
-        """Fritsch-Carlson slope limiting for monotone data: each slope is
-        boxed into [0, 3 min(adjacent secants)] (mirrored for decreasing
-        data); mixed-sign data passes through unlimited."""
-        if derivs.shape != knots.shape:
-            raise ValueError("derivs must match knots in shape")
-        secants = np.diff(values) / np.diff(knots)
-        if np.all(secants >= 0.0):
-            sign = 1.0
-        elif np.all(secants <= 0.0):
-            sign = -1.0
-        else:
-            return derivs
-        mags = np.abs(secants)
-        caps = 3.0 * np.minimum(np.concatenate(([mags[0]], mags)),
-                                np.concatenate((mags, [mags[-1]])))
-        return sign * np.clip(sign * derivs, 0.0, caps)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-    def __call__(self, x):
-        y = self._spline(x)
-        if np.ndim(y) == 0:
-            # the right endpoint is the only knot the piecewise evaluation
-            # does not reproduce bitwise; snap it to keep knot exactness
-            if x == self.knots[-1]:
-                return float(self.values[-1])
-            return float(y)
-        y = np.asarray(y)
-        y[np.asarray(x) == self.knots[-1]] = self.values[-1]
-        return y
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        lo, hi = self.domain
-        return f"Interpolant({self.knots.size} knots on [{lo:g}, {hi:g}])"
-
-
-# Dormand-Prince 5(4) tableau; fifth-order solution is propagated.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERR = _DP_B5 - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def ode_integrate(
-    rhs: Callable[[float, float], float],
-    y0: float,
-    s0: float,
-    s1: float,
-    tol: float,
-    max_step: float | None = None,
-) -> Interpolant:
-    """Integrate dy/ds = rhs(s, y) from s0 to s1 (either direction) with an
-    embedded Runge-Kutta 5(4) pair under absolute per-step error control.
-
-    Returns the accepted trajectory as a monotone-cubic Interpolant whose
-    knots are the accepted steps (in increasing s).  Raises StepUnderflow
-    when the controller is forced below 1e-14 of the span.
-    """
-    span = s1 - s0
-    if span == 0.0:
-        raise ValueError("s0 and s1 must differ")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    direction = math.copysign(1.0, span)
-    h_cap = abs(span) if max_step is None else min(abs(max_step), abs(span))
-    h = direction * min(h_cap, abs(span) / 50.0)
-    min_h = 1e-14 * abs(span)
-
-    s = float(s0)
-    y = float(y0)
-    knots = [s]
-    values = [y]
-    k = np.empty(7)
-    while (s1 - s) * direction > 0.0:
-        remaining = s1 - s
-        if abs(remaining) <= min_h:
-            # microscopic clamp remainder: close it with one Euler nubbin
-            y += remaining * rhs(s, y)
-            s = s1
-            knots.append(s)
-            values.append(y)
-            break
-        final = (s + h - s1) * direction >= 0.0
-        if final:
-            h = remaining
-        bad = False
-        k[0] = rhs(s, y)
-        for i in range(1, 7):
-            yi = y + h * float(np.dot(_DP_A[i], k[:i]))
-            k[i] = rhs(s + _DP_C[i] * h, yi)
-            if not math.isfinite(k[i]):
-                bad = True
-                break
-        if not bad:
-            y_new = y + h * float(np.dot(_DP_B5, k))
-            err = abs(h * float(np.dot(_DP_ERR, k)))
-            bad = not math.isfinite(y_new)
-        if bad:
-            h *= 0.5
-            if abs(h) < min_h:
-                raise StepUnderflow(
-                    f"step {h:g} below resolvable scale near s={s:g}"
-                )
-            continue
-        if err <= tol:
-            s = s1 if final else s + h
-            y = y_new
-            knots.append(s)
-            values.append(y)
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
-            h = direction * min(h_cap, abs(h) * max(grow, 0.2))
-        else:
-            h *= max(0.2, 0.9 * (tol / err) ** 0.2)
-            if abs(h) < min_h:
-                raise StepUnderflow(
-                    f"step {h:g} below resolvable scale near s={s:g}"
-                )
-
-    ks = np.asarray(knots)
-    vs = np.asarray(values)
-    if direction < 0:
-        ks = ks[::-1]
-        vs = vs[::-1]
-    # collapse any numerically duplicated abscissae (can only come from a
-    # final clamped step of rounding size)
-    keep = np.concatenate(([True], np.diff(ks) > 0.0))
-    return Interpolant(ks[keep], vs[keep])

@@ -1,11 +1,15 @@
 """Construction of the energy-minimal radial map between annuli.
 
 Given a radial density rho on the target annulus A(q, Q) and a domain
-annulus A(r, 1), the minimizer is w(s e^{it}) = p(s) e^{it} where the
-radial profile solves p'(s) = sqrt(p^2 + c/rho(p)) / s with p(1) = Q, and
-the constant c is fixed by the modulus equation
+annulus A(r, 1), the minimizer is w(s e^{it}) = p(s) e^{it}.  Its Hopf
+differential is c/(4 z^2), which gives the first integral
 
-    mu(c) := int_q^Q dy / sqrt(y^2 + c/rho(y)) = log(1/r).
+    log(1/s) = Psi(p) := int_p^Q dy / sqrt(y^2 + c/rho(y)),
+
+and the constant c is fixed by the modulus equation mu(c) := Psi(q) =
+log(1/r).  One ``Psi`` table carries all of it: the modulus, the profile
+p(s), its inverse s(p) = exp(-Psi(p)) and the slope p' = sqrt(p^2 +
+c/rho(p)) / s.
 
 mu is strictly decreasing in c and attains its largest (possibly infinite)
 value at the critical constant c0 = -min_{[q,Q]} y^2 rho(y); domain annuli
@@ -15,8 +19,8 @@ fatter than r0 = exp(-mu(c0)) admit no radial minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,14 +28,19 @@ from .errors import (
     BelowCritical,
     DivergentIntegral,
     DivergentModulus,
-    NegativeRadicand,
     NoConvergence,
     OutOfDomain,
     ProfileMismatch,
 )
 from .metrics import RadialMetric, parse_metric
-from .numerics import Interpolant, find_root_bracketed, integrate_adaptive, \
-    minimize_scalar, ode_integrate
+from .numerics import (
+    _GAUSS_HI,
+    _adaptive_core,
+    _ArrayFunc,
+    _divergence_guard,
+    find_root_bracketed,
+    minimize_scalar,
+)
 
 __all__ = [
     "CONFORMAL",
@@ -40,6 +49,7 @@ __all__ = [
     "CRITICAL",
     "ProblemSpec",
     "SolverConfig",
+    "Psi",
     "MinimizerProfile",
     "critical_constant",
     "modulus_of_c",
@@ -58,6 +68,11 @@ _MODULUS_TOL = 1e-11
 # relative closeness of c to the critical constant below which the modulus
 # integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
+_NEWTON_STEPS = 60
+_KNOTS = 256
+# 15-point Gauss-Legendre rule on [0, 1], the fine rule of the panels
+_NODES01 = 0.5 * (_GAUSS_HI[0] + 1.0)
+_WEIGHTS01 = 0.5 * _GAUSS_HI[1]
 
 
 @dataclass(frozen=True)
@@ -88,50 +103,15 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and discretization sizes for the solver."""
+    """Tolerances for the solver and the seed of the randomized probes."""
 
     tol_c: float = 1e-9
     tol_quad: float = 1e-11
-    tol_ode: float = 1e-10
-    profile_knots: int = 512
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.tol_c, self.tol_quad, self.tol_ode) <= 0.0:
+        if min(self.tol_c, self.tol_quad) <= 0.0:
             raise ValueError("all tolerances must be positive")
-        if self.profile_knots < 16:
-            raise ValueError("profile_knots must be at least 16")
-
-
-@dataclass(frozen=True)
-class MinimizerProfile:
-    """A solved radial minimizer.
-
-    ``profile`` carries p on [r, 1], ``inverse`` its inverse on [q, Q];
-    ``c`` is the variational constant of the modulus equation and
-    ``critical_c`` the critical constant of the (q, Q, metric) triple.
-    ``exact_radial``, when set, is a closed-form evaluator for p used by
-    high-accuracy consumers.
-    """
-
-    c: float
-    profile: Interpolant
-    inverse: Interpolant
-    classification: str
-    spec: ProblemSpec
-    critical_c: float
-    exact_radial: Callable | None = field(default=None, compare=False)
-
-    def slope(self, s):
-        """p'(s) recomputed from the profile ODE right-hand side.
-
-        Using the first integral instead of differentiating the interpolant
-        keeps derived fields exactly consistent with the solved dynamics.
-        """
-        p = self.profile(s)
-        radicand = np.maximum(p * p + self.c / self.spec.metric.eval(p), 0.0)
-        out = np.sqrt(radicand) / np.asarray(s, dtype=float)
-        return float(out) if np.ndim(out) == 0 else out
 
 
 def _weight(metric: RadialMetric, y):
@@ -156,45 +136,206 @@ def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
     return _critical_info(metric, q, Q)[1]
 
 
+class Psi:
+    """The first integral Psi(p) = int_p^Q dy / sqrt(y^2 + c/rho(y)).
+
+    Psi is held as a table of adaptive Gauss panels in the signed variable
+    v with y = a + v|v|, i.e. v = +-sqrt|y - a|, anchored at the critical
+    radius a = y* (snapped to q or Q when it lies within 1e-7 of the span
+    of one).  The substitution keeps the integrand g(v) = 2|v| /
+    sqrt(y^2 + c/rho(y)) smooth through y*, where the radicand vanishes at
+    the critical constant.  ``total`` = Psi(q) is the modulus mu(c).
+
+    Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
+    on the part of a panel; below q the same rule continues the integral,
+    so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
+    the profile equation does.  Raises BelowCritical for c under the
+    critical constant and DivergentModulus where the integral diverges.
+    """
+
+    def __init__(self, metric: RadialMetric, q: float, Q: float, c: float,
+                 tol: float = _MODULUS_TOL):
+        y_star, c_crit = _critical_info(metric, q, Q)
+        scale = max(1.0, abs(c_crit))
+        if c < c_crit - 1e-12 * scale:
+            raise BelowCritical(
+                f"c={c} below the critical constant {c_crit}", critical_c=c_crit
+            )
+        near_critical = (c - c_crit) <= _NEAR_CRITICAL * scale
+        span = Q - q
+        if y_star - q <= 1e-7 * span:
+            anchor = q
+        elif Q - y_star <= 1e-7 * span:
+            anchor = Q
+        elif near_critical:
+            raise DivergentModulus(
+                f"radicand vanishes at interior radius {y_star}; modulus diverges"
+            )
+        else:
+            anchor = y_star
+        self.metric, self.q, self.Q, self.c = metric, q, Q, c
+        self.critical_c = c_crit
+        self.anchor = anchor
+
+        v_q, v_Q = float(self.v_of_y(q)), float(self.v_of_y(Q))
+        pieces = [(lo, hi) for lo, hi in ((v_q, 0.0), (0.0, v_Q)) if lo < hi]
+        panels = []
+        try:
+            for lo, hi in pieces:
+                if near_critical:
+                    _divergence_guard(_ArrayFunc(self._integrand), anchor,
+                                      1.0 if lo == 0.0 else -1.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    panels.append(
+                        _adaptive_core(self.g, lo, hi, tol / len(pieces))[1])
+        except (DivergentIntegral, NoConvergence) as exc:
+            if near_critical:
+                raise DivergentModulus(str(exc)) from exc
+            raise
+        panels = np.concatenate(panels)
+        values = panels[:, 2]
+        self.edges = np.append(panels[:, 0], v_Q)
+        # tail[k] = Psi at edges[k]: suffix sums of the panel integrals
+        self.tail = np.concatenate((np.cumsum(values[::-1])[::-1], [0.0]))
+        self.total = float(self.tail[0])
+
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """About _KNOTS points splitting the panels evenly, with Psi there:
+        they bracket and start the Newton solve of the forward map."""
+        parts = max(1, _KNOTS // (self.edges.size - 1))
+        frac = np.arange(parts) / parts
+        widths = np.diff(self.edges)
+        knots = (self.edges[:-1, None] + widths[:, None] * frac).ravel()
+        return (np.append(knots, self.edges[-1]),
+                np.append(self.at_v(knots), 0.0))
+
+    def v_of_y(self, y):
+        d = np.asarray(y, dtype=float) - self.anchor
+        return np.sign(d) * np.sqrt(np.abs(d))
+
+    def y_of_v(self, v):
+        return self.anchor + v * np.abs(v)
+
+    def _radicand(self, y):
+        return y * y + self.c / self.metric.eval(y)
+
+    def _integrand(self, y):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(np.maximum(self._radicand(y), 0.0))
+
+    def g(self, v):
+        """-dPsi/dv = 2|v| / sqrt(y^2 + c/rho(y)) at y = y(v), infinite (or
+        nan at v = 0) where the radicand vanishes; callers silence the
+        floating-point warnings, since this is the quadrature's inner loop."""
+        size = np.abs(v)
+        radicand = self._radicand(self.anchor + v * size)
+        return 2.0 * size / np.sqrt(np.maximum(radicand, 0.0))
+
+    def _gauss(self, a, b, weight=None):
+        """int_a^b g (times weight(y)) dv by one 15-point rule, elementwise."""
+        a = np.asarray(a, dtype=float)
+        width = np.asarray(b, dtype=float) - a
+        nodes = a[..., None] + width[..., None] * _NODES01
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = self.g(nodes)
+            if weight is not None:
+                vals = vals * weight(self.y_of_v(nodes))
+            # an empty interval contributes nothing, even at a singular anchor
+            return np.where(width == 0.0, 0.0, width * (vals @ _WEIGHTS01))
+
+    def at_v(self, v):
+        """Psi at y(v) (vectorized)."""
+        v = np.asarray(v, dtype=float)
+        k = np.clip(np.searchsorted(self.edges, v, side="right") - 1, 0,
+                    self.edges.size - 2)
+        below = v < self.edges[0]
+        end = np.where(below, self.edges[0], self.edges[k + 1])
+        base = np.where(below, self.tail[0], self.tail[k + 1])
+        return base + self._gauss(v, end)
+
+    def v_of_log(self, target):
+        """v with Psi(y(v)) = target (target = log(1/s), vectorized).
+
+        Safeguarded Newton in v: the knots of the panel table bracket the
+        root and interpolating Psi linearly in y between them starts the
+        iteration; a step leaving the bracket is replaced by bisection.
+        Below q the bracket extends to a floor, and where the radicand turns
+        negative the profile stops at its zero, as the profile equation does.
+        """
+        target = np.asarray(target, dtype=float).ravel()
+        knots, known = self._knots
+        k = np.clip(np.searchsorted(-known, -target, side="right") - 1, 0,
+                    knots.size - 2)
+        below = target > known[0]
+        # a profile reaching this far below q fails the mismatch check anyway
+        span = self.Q - self.q
+        floor = max(self.q - span, 0.5 * self.q, self.metric.valid_interval[0])
+        lo = np.where(below, self.v_of_y(floor), knots[k])
+        hi = np.where(below, knots[0], knots[k + 1])
+        y_lo, y_hi = self.y_of_v(lo), self.y_of_v(hi)
+        frac = (known[k] - target) / (known[k] - known[k + 1])
+        slope_q = np.sqrt(max(self._radicand(self.q), 0.0))
+        y0 = np.where(below, self.q - (target - known[0]) * slope_q,
+                      y_lo + frac * (y_hi - y_lo))
+        v = np.clip(self.v_of_y(y0), lo, hi)
+        tol = 2.0**-50 * (knots[-1] - knots[0])
+        # the profile cannot leave q when the radicand vanishes there
+        active = ~(below & (slope_q == 0.0))
+        v[~active] = knots[0]
+        for _ in range(_NEWTON_STEPS):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            va = v[idx]
+            miss = self.at_v(va) - target[idx]
+            # Psi decreases in v; a non-finite value lies past the radicand's
+            # zero below q, which is also left of the root
+            left = ~np.isfinite(miss) | (miss > 0.0)
+            lo[idx] = np.where(left, va, lo[idx])
+            hi[idx] = np.where(left, hi[idx], va)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(miss == 0.0, 0.0, miss / self.g(va))
+            new = va + step
+            # a converged step may round onto the bracket edge it just set
+            keep = (np.abs(step) <= tol) | ((new > lo[idx]) & (new < hi[idx]))
+            new = np.where(keep, new, 0.5 * (lo[idx] + hi[idx]))
+            v[idx] = new
+            done = (np.abs(new - va) <= tol) | (hi[idx] - lo[idx] <= tol)
+            active[idx[done]] = False
+        return v
+
+    def radius(self, s):
+        """The profile p(s): Psi(p) = log(1/s); exactly Q at s = 1."""
+        target = -np.log(np.asarray(s, dtype=float))
+        p = self.y_of_v(self.v_of_log(target)).reshape(np.shape(target))
+        p = np.where(target <= 0.0, self.Q, p)
+        return float(p) if p.ndim == 0 else p
+
+    def slope(self, s, p):
+        """p'(s) from the first integral at a profile radius p = p(s)."""
+        out = np.sqrt(np.maximum(self._radicand(p), 0.0)) / s
+        return float(out) if np.ndim(out) == 0 else out
+
+    def integrate(self, weight, p_lo: float) -> float:
+        """int_{p_lo}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) on the panels."""
+        lo, hi = self.edges[:-1], self.edges[1:]
+        whole = math.fsum(self._gauss(lo, hi, weight))
+        # p_lo differs from q only by the profile's miss at s = r
+        v_lo = self.v_of_y(p_lo)
+        return whole - float(self._gauss(self.edges[0], v_lo, weight))
+
+
 def modulus_of_c(
     metric: RadialMetric, q: float, Q: float, c: float, tol: float = _MODULUS_TOL
 ) -> float:
-    """mu(c) = int_q^Q dy / sqrt(y^2 + c/rho(y)).
+    """mu(c) = int_q^Q dy / sqrt(y^2 + c/rho(y)) = Psi(q).
 
-    At c equal (or nearly equal) to the critical constant the integrand has
-    a 1/sqrt endpoint singularity which is removed by substitution; an
-    interior zero of the radicand makes the integral diverge and raises
-    DivergentModulus.
+    Raises BelowCritical for c under the critical constant and
+    DivergentModulus when the radicand vanishes inside (q, Q) or the
+    endpoint singularity at the critical constant is not integrable.
     """
-    y_star, c_crit = _critical_info(metric, q, Q)
-    scale = max(1.0, abs(c_crit))
-    if c < c_crit - 1e-12 * scale:
-        raise BelowCritical(
-            f"c={c} below the critical constant {c_crit}", critical_c=c_crit
-        )
-    near_critical = (c - c_crit) <= _NEAR_CRITICAL * scale
-    span = Q - q
-    if near_critical and min(y_star - q, Q - y_star) > 1e-7 * span:
-        raise DivergentModulus(
-            f"radicand vanishes at interior radius {y_star}; modulus diverges"
-        )
-
-    def integrand(y):
-        radicand = np.maximum(y * y + c / metric.eval(y), 0.0)
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.sqrt(radicand)
-
-    force_left = True if (near_critical and y_star - q <= 1e-7 * span) else None
-    force_right = True if (near_critical and Q - y_star <= 1e-7 * span) else None
-    try:
-        return integrate_adaptive(
-            integrand, q, Q, tol,
-            singular_left=force_left, singular_right=force_right,
-        )
-    except (DivergentIntegral, NoConvergence) as exc:
-        if near_critical:
-            raise DivergentModulus(str(exc)) from exc
-        raise
+    return Psi(metric, q, Q, c, tol).total
 
 
 def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
@@ -217,7 +358,10 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
     target = math.log(1.0 / spec.r)
-    mu = lambda c: modulus_of_c(metric, q, Q, c, tol=config.tol_quad)
+    # memoized: find_root_bracketed evaluates the bracket ends again, and
+    # mu at c_crit + eps can cost thousands of panels
+    mu = lru_cache(maxsize=None)(
+        lambda c: modulus_of_c(metric, q, Q, c, tol=config.tol_quad))
     mu0 = mu(0.0)
     if abs(mu0 - target) <= config.tol_c:
         return 0.0
@@ -263,254 +407,76 @@ def _classify(c: float, c_crit: float, tol_c: float) -> str:
     return SUBCRITICAL
 
 
+@dataclass(frozen=True)
+class MinimizerProfile:
+    """A solved radial minimizer.
+
+    ``psi`` is the first integral the profile is read from: ``profile(s)``
+    inverts log(1/s) = Psi(p) on [r, 1], ``inverse(p)`` is exp(-Psi(p)) on
+    [q, Q] and ``slope(s)`` is p'(s).  ``c`` is the variational constant of
+    the modulus equation and ``critical_c`` the critical constant of the
+    (q, Q, metric) triple.
+    """
+
+    c: float
+    psi: Psi
+    classification: str
+    spec: ProblemSpec
+    critical_c: float
+
+    def profile(self, s):
+        """p(s), scalar or array."""
+        return self.psi.radius(s)
+
+    def inverse(self, p):
+        """s(p) = exp(-Psi(p)), scalar or array."""
+        out = np.exp(-self.psi.at_v(self.psi.v_of_y(p)))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def slope(self, s):
+        """p'(s) = sqrt(p^2 + c/rho(p)) / s, from the first integral."""
+        return self.psi.slope(s, self.profile(s))
+
+
 def build_profile(
     spec: ProblemSpec, c: float, config: SolverConfig = SolverConfig()
 ) -> MinimizerProfile:
-    """Integrate the profile ODE backward from p(1) = Q down to s = r and
-    package the result (profile, inverse, classification).
+    """Build the first integral Psi for c and package the profile read from
+    it (profile, inverse, classification).
 
-    The square-root radicand is clamped at zero when the trajectory grazes
-    the degenerate level; the clamp magnitude is audited afterwards.
+    Raises ProfileMismatch when p(r), the solution of Psi(p) = log(1/r),
+    misses q by more than 1e-6 Q: the supplied (q, Q, r, c) are then
+    inconsistent.
     """
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    rho = metric.eval
-
-    def rhs(s: float, p: float) -> float:
-        radicand = p * p + c / float(rho(p))
-        if radicand < 0.0:
-            radicand = 0.0
-        return math.sqrt(radicand) / s
-
-    max_step = (1.0 - r) / max(config.profile_knots - 1, 15)
-    path = ode_integrate(rhs, Q, 1.0, r, config.tol_ode, max_step=max_step)
-    knots = path.knots.copy()
-    values = path.values.copy()
-
-    mismatch = abs(values[0] - q)
+    psi = Psi(metric, q, Q, c, config.tol_quad)
+    inner = psi.radius(r)
+    mismatch = abs(inner - q)
     if mismatch > 1e-6 * Q:
         raise ProfileMismatch(
-            f"profile reached p(r)={values[0]:.12g}, expected q={q:.12g} "
-            f"(off by {mismatch:.3g}); (q, Q, r, c) are inconsistent"
+            f"profile reached p(r)={inner:.12g}, expected q={q:.12g} "
+            f"(off by {mismatch:.3g}); modulus gap Psi(q) - log(1/r) = "
+            f"{psi.total - math.log(1.0 / r):.3g} at c - c_crit = "
+            f"{c - psi.critical_c:.3g}; (q, Q, r, c) are inconsistent"
         )
-    radicand = values * values + c / np.asarray(rho(values), dtype=float)
-    clamp_bound = max(1e-10, 10.0 * config.tol_ode)
-    worst = float(radicand.min())
-    if worst < -clamp_bound:
-        raise NegativeRadicand(
-            f"radicand dipped to {worst:.3g}, beyond the clamp allowance "
-            f"{clamp_bound:.3g}"
-        )
-
-    c_crit = critical_constant(metric, q, Q)
-    classification = _classify(c, c_crit, config.tol_c)
-
-    values[-1] = Q
-    if classification == CRITICAL:
-        # the exact critical profile touches q at s = r
-        values[0] = q
-        np.maximum(values, q, out=values)
-    values = np.maximum.accumulate(values)
-
-    def slopes_at(s, p):
-        radicand = np.maximum(p * p + c / np.asarray(rho(p), dtype=float), 0.0)
-        return np.sqrt(radicand) / s
-
-    profile = Interpolant(knots, values, derivs=slopes_at(knots, values))
-    inverse = _build_inverse(profile, slopes_at, max_step)
-
     return MinimizerProfile(
         c=c,
-        profile=profile,
-        inverse=inverse,
-        classification=classification,
+        psi=psi,
+        classification=_classify(c, psi.critical_c, config.tol_c),
         spec=spec,
-        critical_c=c_crit,
+        critical_c=psi.critical_c,
     )
-
-
-def _build_inverse(profile: Interpolant, slopes_at, max_step: float) -> Interpolant:
-    """Inverse interpolant consistent with the stored profile.
-
-    The profile knots are augmented with a quadratically graded ladder near
-    the inner boundary, where a critical profile flattens and the inverse
-    derivative blows up; the graded knots keep the inverse's round trip with
-    the profile at interpolation accuracy.
-    """
-    s_lo, s_hi = profile.domain
-    width = min(0.25 * (s_hi - s_lo), 64.0 * max_step)
-    ladder = s_lo + width * (np.arange(1, 160) / 160.0) ** 2
-    s_all = np.unique(np.concatenate((profile.knots, ladder)))
-    p_all = np.asarray(profile(s_all), dtype=float)
-    rising = np.concatenate(([True], np.diff(p_all) > 0.0))
-    s_all, p_all = s_all[rising], p_all[rising]
-    dp = slopes_at(s_all, p_all)
-    with np.errstate(divide="ignore"):
-        inv_slopes = np.where(dp > 1e-30, 1.0 / np.maximum(dp, 1e-30), 1e30)
-    return Interpolant(p_all, s_all, derivs=inv_slopes)
 
 
 def euclidean_nitsche_map(r: float) -> MinimizerProfile:
     """The closed-form critical minimizer for the Euclidean metric:
     p(s) = (r^2 + s^2) / (s (1 + r^2)) between A(r, 1) and A(2r/(1+r^2), 1),
-    with c = -4 r^2 / (1 + r^2)^2.  Built directly, without the solver."""
+    with c = -4 r^2 / (1 + r^2)^2.  Built directly, without solving for c."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"need 0 < r < 1, got r={r}")
-    metric = parse_metric("euclidean")
-    denom = 1.0 + r * r
-    q = 2.0 * r / denom
+    spec = ProblemSpec(metric=parse_metric("euclidean"), q=2.0 * r / (1.0 + r * r),
+                       Q=1.0, r=r)
     # -4 r^2/(1+r^2)^2 equals -q^2; computing it that way makes the radicand
     # vanish bitwise at the inner boundary
-    c = -(q * q)
-    spec = ProblemSpec(metric=metric, q=q, Q=1.0, r=r)
-
-    def radial(s):
-        s = np.asarray(s, dtype=float)
-        out = (r * r + s * s) / (s * denom)
-        return float(out) if out.ndim == 0 else out
-
-    def slopes_at(s, p):
-        radicand = np.maximum(p * p + c, 0.0)
-        return np.sqrt(radicand) / s
-
-    s_knots = np.linspace(r, 1.0, 1025)
-    p_vals = np.asarray(radial(s_knots))
-    p_vals[0] = q
-    p_vals[-1] = 1.0
-    profile = Interpolant(s_knots, p_vals, derivs=slopes_at(s_knots, p_vals))
-    inverse = _build_inverse(profile, slopes_at, (1.0 - r) / 1024.0)
-    return MinimizerProfile(
-        c=c,
-        profile=profile,
-        inverse=inverse,
-        classification=CRITICAL,
-        spec=spec,
-        critical_c=c,
-        exact_radial=radial,
-    )
-
-
-_GAUSS_PANEL = np.polynomial.legendre.leggauss(14)
-
-
-class ImplicitRadialProfile:
-    """Machine-accuracy evaluation of the radial profile by inverting its
-    first integral.
-
-    p(s) is defined implicitly by Psi(p) = log(1/s) where Psi(p) =
-    int_p^Q dy / sqrt(y^2 + c/rho(y)).  The integral is computed in the
-    substituted variable u = sqrt(|y - anchor|) (anchor at the endpoint
-    where the radicand can vanish), on a fixed graded composite Gauss grid,
-    so evaluation is smooth in s and accurate to ~1e-13, which is what a
-    finite-difference stencil on top of it needs.
-    """
-
-    def __init__(
-        self,
-        metric: RadialMetric,
-        q: float,
-        Q: float,
-        c: float,
-        n_panels: int = 64,
-    ):
-        self.metric = metric
-        self.q = q
-        self.Q = Q
-        self.c = c
-        y_star, _ = _critical_info(metric, q, Q)
-        self._anchor_right = (Q - y_star) < 1e-9 * (Q - q)
-        self._cap = math.sqrt(Q - q)
-
-        # quadratically graded panel edges cluster toward the anchor (u = 0)
-        k = np.arange(n_panels + 1, dtype=float) / n_panels
-        self._edges = self._cap * k * k
-        nodes01 = 0.5 * (_GAUSS_PANEL[0] + 1.0)
-        weights01 = 0.5 * _GAUSS_PANEL[1]
-        widths = np.diff(self._edges)
-        panel_nodes = self._edges[:-1, None] + widths[:, None] * nodes01[None, :]
-        panel_weights = widths[:, None] * weights01[None, :]
-        vals = self._transformed(panel_nodes)
-        panel_integrals = np.sum(panel_weights * vals, axis=1)
-        if self._anchor_right:
-            # Psi grows with u = sqrt(Q - p): prefix sums
-            self._accum = np.concatenate(([0.0], np.cumsum(panel_integrals)))
-        else:
-            # Psi is the tail above u = sqrt(p - q): suffix sums
-            self._accum = np.concatenate(
-                (np.cumsum(panel_integrals[::-1])[::-1], [0.0])
-            )
-        self._nodes01 = nodes01
-        self._weights01 = weights01
-
-    def _transformed(self, u):
-        """2 u g(y(u)) with g = 1/sqrt(y^2 + c/rho(y)); smooth through the
-        anchor even when the radicand has a simple zero there."""
-        u = np.asarray(u, dtype=float)
-        y = (self.Q - u * u) if self._anchor_right else (self.q + u * u)
-        radicand = np.maximum(y * y + self.c / self.metric.eval(y), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 2.0 * u / np.sqrt(radicand)
-        return np.where(radicand > 0.0, out, 0.0)
-
-    def _psi_of_u(self, u):
-        """Psi at profile radii parameterized by u (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(self._edges, u, side="right") - 1, 0,
-                      len(self._edges) - 2)
-        if self._anchor_right:
-            base = self._accum[idx]
-            lo = self._edges[idx]
-            span = u - lo
-            nodes = lo[..., None] + span[..., None] * self._nodes01
-        else:
-            base = self._accum[idx + 1]
-            hi = self._edges[idx + 1]
-            span = hi - u
-            nodes = u[..., None] + span[..., None] * self._nodes01
-        partial = np.sum(self._weights01 * self._transformed(nodes), axis=-1) * span
-        return base + partial
-
-    def total_modulus(self) -> float:
-        end = self._cap if self._anchor_right else 0.0
-        return float(self._psi_of_u(np.asarray(end)))
-
-    def p_of_s(self, s):
-        """Profile radii for domain radii s (scalar or array)."""
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        # clamp into the attainable range so rounding at s = r (where the
-        # target meets the total modulus) cannot push the root off the grid
-        target = np.clip(-np.log(s), 0.0, self.total_modulus())
-        lo = np.zeros_like(target)
-        hi = np.full_like(target, self._cap)
-        sign = 1.0 if self._anchor_right else -1.0
-        h_lo = self._psi_of_u(lo) - target
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            h_mid = self._psi_of_u(mid) - target
-            go_right = np.sign(h_mid) == np.sign(h_lo)
-            lo = np.where(go_right, mid, lo)
-            h_lo = np.where(go_right, h_mid, h_lo)
-            hi = np.where(go_right, hi, mid)
-        u = 0.5 * (lo + hi)
-        for _ in range(6):
-            slope = sign * self._transformed(u)
-            usable = np.abs(slope) > 1e-300
-            denom = np.where(usable, slope, 1.0)
-            step = np.where(usable, (self._psi_of_u(u) - target) / denom, 0.0)
-            u = np.clip(u - step, 0.0, self._cap)
-        p = (self.Q - u * u) if self._anchor_right else (self.q + u * u)
-        return float(p[0]) if scalar else p
-
-
-def precise_radial_map(profile: MinimizerProfile) -> Callable:
-    """Best-available radial evaluator for a profile: the closed form when
-    one exists, otherwise implicit-quadrature inversion of the first
-    integral."""
-    if profile.exact_radial is not None:
-        return profile.exact_radial
-    spec = profile.spec
-    if profile.c == 0.0:
-        # conformal pairs have the exact linear profile for any density
-        return lambda s: spec.Q * np.asarray(s, dtype=float)
-    implicit = ImplicitRadialProfile(spec.metric, spec.q, spec.Q, profile.c)
-    return implicit.p_of_s
+    c = -(spec.q * spec.q)
+    return MinimizerProfile(c, Psi(spec.metric, spec.q, 1.0, c), CRITICAL, spec, c)

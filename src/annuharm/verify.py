@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import BelowCritical, PerturbationLeavesRange, StencilOutOfDomain
 from .fields import PolarGrid, field_arrays, kk_constants, lipschitz_constant
@@ -26,7 +25,6 @@ from .solver import (
     ProblemSpec,
     SolverConfig,
     build_profile,
-    precise_radial_map,
     solve_c,
 )
 
@@ -124,14 +122,13 @@ def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> f
         tau = h_{z zbar} + (log rho)_w(h) h_z h_zbar,
 
     with h_{z zbar} from the 5-point Laplacian / 4 and the Wirtinger first
-    derivatives from centered differences.  The map itself is evaluated
-    through the high-accuracy radial evaluator so the result is pure
-    stencil truncation error (second order in h).
+    derivatives from centered differences.  The map itself is read from the
+    first integral to rounding accuracy, so the result is pure stencil
+    truncation error (second order in h).
     """
     pts = _stencil_points(profile, h)
-    radial = precise_radial_map(profile)
     radii = np.abs(pts)
-    p = np.asarray(radial(radii.ravel())).reshape(radii.shape)
+    p = profile.profile(radii)
     w = p * pts / radii
 
     center = w[0]
@@ -156,7 +153,7 @@ def general_harmonic_residual(
     pts = _stencil_points(profile, h)
     s = np.abs(pts)
     p = profile.profile(s)
-    dp = profile.slope(s)
+    dp = profile.psi.slope(s, p)
     tangential = p / s
     phase2 = (pts / s) ** 2
     hopf = metric.eval(p) * (dp - tangential) * (dp + tangential) * 0.25 \
@@ -189,6 +186,13 @@ def _sine_bump(rng, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi / scale, dphi / scale
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule on an odd number of uniform samples."""
+    h = (x[-1] - x[0]) / (x.size - 1)
+    inner = 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+    return float(h / 3.0 * (y[0] + inner + y[-1]))
+
+
 def minimality_probe(
     profile: MinimizerProfile,
     metric: RadialMetric,
@@ -211,12 +215,12 @@ def minimality_probe(
     s = np.linspace(r, 1.0, 4097)
     x = (s - r) / (1.0 - r)
     p0 = profile.profile(s)
-    dp0 = profile.slope(s)
+    dp0 = profile.psi.slope(s, p0)
     lo, hi = metric.valid_interval
 
     def discrete_energy(p, dp):
         integrand = metric.eval(p) * (dp * dp + (p / s) ** 2) * s
-        return 2.0 * math.pi * float(simpson(integrand, x=s))
+        return 2.0 * math.pi * _simpson(integrand, s)
 
     base = discrete_energy(p0, dp0)
     min_excess = math.inf

@@ -1,5 +1,4 @@
-"""Numerical kernel contracts: quadrature, root finding, minimization,
-ODE integration, monotone interpolation."""
+"""Numerical kernel contracts: quadrature, root finding, minimization."""
 
 import math
 
@@ -8,14 +7,12 @@ import pytest
 
 from annuharm import (
     DivergentIntegral,
-    Interpolant,
     NoBracket,
-    StepUnderflow,
     find_root_bracketed,
     integrate_adaptive,
     minimize_scalar,
-    ode_integrate,
 )
+from annuharm.numerics import _adaptive_core, _ArrayFunc
 
 # closed-form values the quadrature must reproduce:
 #   int_0.8^1 dy/sqrt(y^2-0.64) = [log(y+sqrt(y^2-0.64))] = log 2
@@ -59,6 +56,18 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(lambda y: y, 1.0, 1.0, 1e-10)
 
+    def test_core_returns_tiling_panels(self):
+        # a boundary layer forces refinement; the accepted panels must tile
+        # [0, 1] in order and sum to the returned integral
+        f = _ArrayFunc(lambda y: 1.0 / np.sqrt(y + 1e-6))
+        total, panels = _adaptive_core(f, 0.0, 1.0, 1e-12)
+        assert len(panels) > 1
+        assert panels[0, 0] == 0.0 and panels[-1, 1] == 1.0
+        assert np.all(panels[1:, 0] == panels[:-1, 1])
+        assert total == math.fsum(panels[:, 2])
+        exact = 2.0 * (math.sqrt(1.0 + 1e-6) - math.sqrt(1e-6))
+        assert abs(total - exact) <= 1e-11
+
 
 class TestFindRootBracketed:
     def test_sqrt2(self):
@@ -99,63 +108,3 @@ class TestMinimizeScalar:
     def test_linear(self):
         x, fx = minimize_scalar(lambda y: y * y * (1.0 / y), 0.5, 1.0, 1e-10)
         assert x == 0.5 and fx == pytest.approx(0.5, abs=1e-12)
-
-
-class TestOdeIntegrate:
-    def test_linear_solution_backward(self):
-        path = ode_integrate(lambda s, y: y / s, 1.0, 1.0, 0.5, 1e-10)
-        queries = np.linspace(0.5, 1.0, 257)
-        rel = np.max(np.abs(path(queries) - queries) / queries)
-        assert rel <= 1e-9
-
-    def test_constant(self):
-        path = ode_integrate(lambda s, y: 0.0, 3.0, 0.0, 2.0, 1e-10)
-        assert path(1.234) == pytest.approx(3.0, abs=1e-12)
-
-    def test_degenerate_touchdown(self):
-        # radial-profile equation with unit density: closed-form solution
-        # p(s) = (1/4 + s^2)/(5 s / 4) reaches 0.8 with zero slope at s = 0.5
-        rhs = lambda s, y: math.sqrt(max(y * y - 0.64, 0.0)) / s
-        path = ode_integrate(rhs, 1.0, 1.0, 0.5, 1e-10)
-        assert abs(path(0.5) - 0.8) <= 1e-6
-        assert abs(path(0.7) - (0.25 + 0.49) / (0.7 * 1.25)) <= 1e-6
-
-    def test_step_underflow(self):
-        with pytest.raises(StepUnderflow):
-            ode_integrate(lambda s, y: math.nan, 1.0, 0.0, 1.0, 1e-10)
-
-    def test_max_step_densifies_knots(self):
-        path = ode_integrate(lambda s, y: y / s, 1.0, 1.0, 0.5, 1e-10,
-                             max_step=1e-3)
-        assert path.knots.size >= 500
-
-
-class TestInterpolant:
-    def test_reproduces_knots(self):
-        knots = np.linspace(0.0, 1.0, 17)
-        values = np.sin(knots)
-        itp = Interpolant(knots, values)
-        assert np.max(np.abs(itp(knots) - values)) == 0.0
-
-    def test_strictly_monotone(self):
-        rng = np.random.default_rng(7)
-        knots = np.sort(rng.uniform(0.0, 1.0, 40))
-        knots = np.unique(knots)
-        values = np.cumsum(rng.uniform(0.01, 1.0, knots.size))
-        itp = Interpolant(knots, values)
-        queries = np.sort(rng.uniform(knots[0], knots[-1], 10_000))
-        out = itp(queries)
-        assert np.all(np.diff(out) > 0.0)
-
-    def test_supplied_slopes_keep_monotonicity(self):
-        knots = np.linspace(0.0, 1.0, 9)
-        values = knots**2
-        itp = Interpolant(knots, values, derivs=2.0 * knots)
-        queries = np.linspace(0.0, 1.0, 5000)
-        out = itp(queries)
-        assert np.all(np.diff(out) >= 0.0)
-        assert np.max(np.abs(out - queries**2)) <= 1e-10
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Interpolant([0.0, 0.5, 0.5], [1.0, 2.0, 3.0])

@@ -1,0 +1,120 @@
+"""The first-integral profile: closed-form oracles, round trips, the
+ProfileMismatch report, and properties over metrics and constants."""
+
+import math
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annuharm import (
+    ProblemSpec,
+    ProfileMismatch,
+    build_profile,
+    critical_constant,
+    energy,
+    euclidean_nitsche_map,
+    modulus_of_c,
+    parse_metric,
+    solve_c,
+)
+
+EUCLID = parse_metric("euclidean")
+
+# the twelve acceptance configurations (metric, q, Q, r)
+TWELVE_CONFIGS = [
+    ("euclidean", 0.8, 1.0, 0.5), ("euclidean", 0.8, 1.0, 0.9),
+    ("inverse_r", 0.5, 1.0, 0.589), ("inverse_r", 0.5, 1.0, 0.45),
+    ("sphere", 0.5, 1.0, 0.7), ("sphere", 0.5, 1.0, 0.4),
+    ("euclidean", 0.8, 1.0, 0.8), ("euclidean", 0.8, 1.0, 0.6),
+    ("inverse_r", 0.5, 1.0, 0.5), ("sphere", 0.5, 1.0, 0.5),
+    ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
+]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_nitsche_closed_form(self, r):
+        prof = euclidean_nitsche_map(r)
+        s = np.linspace(r, 1.0, 1000)
+        exact = (r * r + s * s) / (s * (1.0 + r * r))
+        assert np.max(np.abs(prof.profile(s) - exact)) <= 1e-14
+        # the critical profile touches q with zero slope
+        assert prof.profile(r) == prof.spec.q and prof.slope(r) == 0.0
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_nitsche_energy(self, r):
+        prof = euclidean_nitsche_map(r)
+        exact = 2.0 * math.pi * (1.0 - r * r) / (1.0 + r * r)
+        assert abs(energy(prof, EUCLID) - exact) <= 1e-12 * exact
+
+    def test_conformal_profile_is_linear(self):
+        spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.5)
+        prof = build_profile(spec, 0.0)
+        s = np.linspace(0.5, 1.0, 1000)
+        assert np.max(np.abs(prof.profile(s) - s) / s) <= 1e-14
+
+
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+def test_inverse_round_trip(name, q, Q, r):
+    spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
+    prof = build_profile(spec, solve_c(spec))
+    s = np.linspace(r, 1.0, 100)
+    assert np.max(np.abs(prof.inverse(prof.profile(s)) - s)) <= 1e-13
+
+
+def test_profile_mismatch_reports_its_source():
+    # solve_c stops on a 1e-9 bracket in c; this near-critical root leaves a
+    # modulus gap that the exact first integral turns into a miss of p(r)
+    metric = parse_metric("power:-3")
+    spec = ProblemSpec(metric=metric, q=0.44264, Q=0.79757, r=0.19971)
+    c = solve_c(spec)
+    with pytest.raises(ProfileMismatch) as info:
+        build_profile(spec, c)
+    message = str(info.value)
+    miss = float(re.search(r"off by ([-+0-9.e]+)", message).group(1))
+    assert miss > 1e-6 * spec.Q
+    gap = modulus_of_c(metric, spec.q, spec.Q, c) - math.log(1.0 / spec.r)
+    assert f"Psi(q) - log(1/r) = {gap:.3g}" in message
+    assert abs(gap - 7.4e-6) <= 0.1e-6
+    assert f"c - c_crit = {c - critical_constant(metric, spec.q, spec.Q):.3g}" \
+        in message
+
+
+_BOUNDS = {"euclidean": 10.0, "inverse_r": 10.0, "sphere": 10.0,
+           "hyperbolic": 0.95}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_BOUNDS)),
+    outer=st.floats(0.3, 1.0),
+    ratio=st.floats(0.1, 0.9),
+    lift=st.floats(1e-3, 4.0),
+)
+def test_profile_properties(name, outer, ratio, lift):
+    metric = parse_metric(name)
+    Q = outer * _BOUNDS[name]
+    q = ratio * Q
+    c_crit = critical_constant(metric, q, Q)
+    c = c_crit + lift * abs(c_crit)
+    r = math.exp(-modulus_of_c(metric, q, Q, c))
+    prof = build_profile(ProblemSpec(metric=metric, q=q, Q=Q, r=r), c)
+    s = np.linspace(r, 1.0, 400)
+    p = prof.profile(s)
+    assert np.all(np.diff(p) > 0.0)
+    assert prof.profile(1.0) == Q
+    assert np.max(np.abs(prof.inverse(p) - s)) <= 1e-13
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, annuharm; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

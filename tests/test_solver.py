@@ -1,4 +1,5 @@
-"""Solver contracts: critical constant, modulus equation, profile ODE."""
+"""Solver contracts: critical constant, modulus equation, first-integral
+profile."""
 
 import math
 
@@ -16,11 +17,12 @@ from annuharm import (
     critical_constant,
     critical_inner_radius,
     euclidean_nitsche_map,
+    find_root_bracketed,
+    integrate_adaptive,
     modulus_of_c,
     parse_metric,
     solve_c,
 )
-from annuharm.solver import ImplicitRadialProfile
 
 EUCLID = parse_metric("euclidean")
 INV_R = parse_metric("inverse_r")
@@ -213,13 +215,17 @@ class TestBuildProfile:
             assert prof.classification == expected
 
     def test_agrees_with_quadrature_inversion(self, sphere_expanding):
-        # dual route: backward ODE vs implicit inversion of the first integral
-        spec = sphere_expanding.spec
-        implicit = ImplicitRadialProfile(spec.metric, spec.q, spec.Q,
-                                         sphere_expanding.c)
-        s = np.linspace(spec.r, 1.0, 200)
-        gap = np.abs(implicit.p_of_s(s) - sphere_expanding.profile(s))
-        assert np.max(gap) <= 1e-8
+        # dual route: root-find p from log(1/s) = int_p^Q dy/sqrt(y^2 + c/rho)
+        # by plain quadrature, without the profile's panel table
+        spec, c = sphere_expanding.spec, sphere_expanding.c
+        rho = spec.metric.eval
+        integrand = lambda y: 1.0 / np.sqrt(y * y + c / rho(y))
+        for s in np.linspace(spec.r, 1.0, 9)[1:-1]:
+            target = math.log(1.0 / s)
+            p = find_root_bracketed(
+                lambda x: integrate_adaptive(integrand, x, spec.Q, 1e-13)
+                - target, spec.q, spec.Q - 1e-9, 1e-14)
+            assert abs(sphere_expanding.profile(s) - p) <= 1e-12
 
 
 class TestEuclideanNitscheMap:
@@ -259,5 +265,3 @@ class TestProblemSpecValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_c=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(profile_knots=4)
