@@ -3,7 +3,8 @@
 Commands: solve, critical, eval, verify, sweep.  JSON goes to stdout (or
 --out) for solve/critical/verify; eval and sweep emit CSV by default.
 Exit codes: 0 success, 1 usage error, 2 infeasible configuration,
-3 verification failure.
+3 verification failure, 4 numerical failure (a JSON payload {error, stage,
+detail} names the error, the library call that raised it and its message).
 """
 
 from __future__ import annotations
@@ -12,8 +13,16 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
-from .errors import AnnuharmError, BelowCritical
+from .errors import (
+    AnnuharmError,
+    BelowCritical,
+    DivergentIntegral,
+    DivergentModulus,
+    NoConvergence,
+    ProfileMismatch,
+)
 from .fields import (
     PolarGrid,
     energy,
@@ -38,6 +47,10 @@ _EXIT_OK = 0
 _EXIT_USAGE = 1
 _EXIT_INFEASIBLE = 2
 _EXIT_VERIFY_FAILED = 3
+_EXIT_NUMERICAL = 4
+
+_NUMERICAL_ERRORS = (NoConvergence, DivergentModulus, DivergentIntegral,
+                     ProfileMismatch)
 
 _EVAL_HEADER = "s,t,re_w,im_w,re_wz,im_wz,re_wzb,im_wzb,jac,opnorm,lonorm,re_hopf,im_hopf"
 _SWEEP_HEADER = "r,c,classification,energy,lipschitz_sup,lonorm_inf,mod_domain,mod_target"
@@ -292,6 +305,16 @@ def cmd_sweep(args) -> int:
     return _EXIT_OK
 
 
+def _failed_stage(exc: BaseException) -> str:
+    """module.function of the library call that raised: the first
+    traceback frame outside this module."""
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("annuharm.") and module != __name__:
+            return f"{module[len('annuharm.'):]}.{frame.f_code.co_name}"
+    return "cli"
+
+
 _COMMANDS = {
     "solve": cmd_solve,
     "critical": cmd_critical,
@@ -306,6 +329,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _NUMERICAL_ERRORS as exc:
+        payload = {"error": type(exc).__name__, "stage": _failed_stage(exc),
+                   "detail": str(exc)}
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return _EXIT_NUMERICAL
     except AnnuharmError as exc:
         sys.stderr.write(f"annuharm {args.command}: {exc}\n")
         return _EXIT_USAGE

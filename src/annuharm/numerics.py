@@ -2,7 +2,8 @@
 
 Adaptive quadrature with integrable-endpoint handling, bracketed root
 finding and scalar minimization by scan + golden section.  Tolerances are
-absolute-error targets; every routine either meets its target or raises.
+absolute-error targets; every routine either meets its target, stops at the
+rounding floor of its integrand, or raises.
 """
 
 from __future__ import annotations
@@ -81,17 +82,24 @@ _GAUSS_NODES = np.concatenate((_GAUSS_LO[0], _GAUSS_HI[0]))
 _N_LO = _GAUSS_LO[0].size
 
 
-def _panels(F: _ArrayFunc, bounds) -> list[tuple[float, float]]:
-    """(value, error estimate) of the paired Gauss rules on each (lo, hi)."""
-    vals = F(np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
-                             for lo, hi in bounds]))
+def _panels(F: _ArrayFunc, bounds) -> list[tuple[float, float, float]]:
+    """(value, error estimate, rounding floor) of the paired Gauss rules on
+    each (lo, hi).  F returns its values, or the pair (values, rounding
+    uncertainty of the values); the floor is the fine rule applied to that
+    uncertainty, or 0 without one."""
+    x = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
+                        for lo, hi in bounds])
+    vals = F(x)
+    vals, unc = vals if isinstance(vals, tuple) else (vals, np.zeros_like(vals))
     out = []
     for i, (lo, hi) in enumerate(bounds):
-        v = vals[i * _GAUSS_NODES.size:(i + 1) * _GAUSS_NODES.size]
+        part = slice(i * _GAUSS_NODES.size, (i + 1) * _GAUSS_NODES.size)
+        v, u = vals[part], unc[part]
         half = 0.5 * (hi - lo)
         coarse = half * float(np.dot(_GAUSS_LO[1], v[:_N_LO]))
         fine = half * float(np.dot(_GAUSS_HI[1], v[_N_LO:]))
-        out.append((fine, abs(fine - coarse)))
+        floor = half * float(np.dot(_GAUSS_HI[1], u[_N_LO:]))
+        out.append((fine, abs(fine - coarse), floor))
     return out
 
 
@@ -102,44 +110,57 @@ def _adaptive_core(
 
     The panel with the worst error estimate is refined first, so sharp
     boundary layers cannot starve the error budget of the smooth remainder.
-    Returns the integral and the accepted panels as rows (lo, hi, value) in
-    increasing order.
+    A panel with a finite value is settled (no longer refined) at the
+    rounding floor: when it is narrower than 1e-13 of the span, or, where F
+    also returns the absolute rounding uncertainty of its values (see
+    _panels), when its error estimate does not exceed the uncertainty of
+    its own value, so that a split could only resolve noise.  Settled error
+    cannot be refined away: refinement stops once the rest is within tol of
+    it, or within half of tol.  Returns the integral and the accepted
+    panels as rows (lo, hi, value) in increasing order.
     """
     span = b - a
     floor_width = 1e-13 * span
-    (value, err), = _panels(F, [(a, b)])
-    heap = [(-err, a, b, value)]
-    refinable_err = err
-    # heap-shaped entries (-err, lo, hi, value) of panels at rounding floor
-    settled: list[tuple[float, float, float, float]] = []
+    (value, err, floor), = _panels(F, [(a, b)])
+    heap = [(-err, a, b, value, floor)]
+    # error still to refine: the sum of the finite estimates and the count of
+    # the infinite ones, which a running sum would turn into inf - inf = nan
+    pending_err, pending_inf = (err, 0) if math.isfinite(err) else (0.0, 1)
+    settled = []
     settled_err = 0.0
     n_panels = 1
-    while heap and refinable_err + settled_err > tol:
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        worst = -neg_err
-        refinable_err -= worst
-        width = hi - lo
-        if width < floor_width:
-            if not np.isfinite(val):
+    while heap and (pending_inf or
+                    pending_err > max(tol - settled_err, 0.5 * tol)):
+        entry = heapq.heappop(heap)
+        neg_err, lo, hi, val, floor = entry
+        if math.isfinite(neg_err):
+            pending_err += neg_err
+        else:
+            pending_inf -= 1
+        if hi - lo < floor_width or (-neg_err <= floor and math.isfinite(val)):
+            if not math.isfinite(val):
                 raise DivergentIntegral(
                     f"integrand not resolvable near [{lo}, {hi}]"
                 )
-            settled.append((neg_err, lo, hi, val))
-            settled_err += worst
+            settled.append(entry)
+            settled_err -= neg_err
             continue
         mid = 0.5 * (lo + hi)
         halves = ((lo, mid), (mid, hi))
-        for (sub_lo, sub_hi), (sub_val, sub_err) in zip(halves, _panels(F, halves)):
-            if not np.isfinite(sub_err):
+        for (sub_lo, sub_hi), (sub_val, sub_err, sub_floor) in zip(
+                halves, _panels(F, halves)):
+            if math.isfinite(sub_err):
+                pending_err += sub_err
+            else:
                 sub_err = math.inf
-            heapq.heappush(heap, (-sub_err, sub_lo, sub_hi, sub_val))
-            refinable_err += sub_err
+                pending_inf += 1
+            heapq.heappush(heap, (-sub_err, sub_lo, sub_hi, sub_val, sub_floor))
         n_panels += 2
         if n_panels > _MAX_PANELS:
             raise NoConvergence(
                 f"quadrature on [{a}, {b}] exceeded {_MAX_PANELS} panels"
             )
-    panels = np.array(settled + heap)[:, 1:]
+    panels = np.array(settled + heap)[:, 1:4]
     total = math.fsum(panels[:, 2])
     if not np.isfinite(total):
         raise DivergentIntegral(f"integral over [{a}, {b}] is not finite")
@@ -227,21 +248,37 @@ def integrate_adaptive(
     return _adaptive_core(F, a, b, tol)[0]
 
 
+_Value = float | tuple[float, float]
+
+
 def find_root_bracketed(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Callable[[float], _Value], lo: float, hi: float, tol: float, *,
+    xtol: float | None = None, f_lo: _Value | None = None,
+    f_hi: _Value | None = None,
 ) -> float:
     """Root of f in [lo, hi] given a sign change.
 
-    Bisection accelerated by secant steps; a secant step is taken only when
-    it lands strictly inside the current bracket, and a plain bisection is
-    forced whenever two consecutive steps fail to halve the bracket.  Stops
-    when |f(x)| <= tol or the bracket width drops to tol.  Never evaluates f
-    outside [lo, hi].
+    f may return the pair (f(x), f'(x)) instead of f(x).  Each step starts
+    from the latest point: a Newton step where the slope is known, else the
+    secant through the two latest points, each taken only when it lands
+    strictly inside the current bracket; otherwise, and whenever two
+    consecutive steps fail to halve |f|, the bracket is bisected.  Stops
+    when |f(x)| <= tol or the bracket width drops to xtol (default tol).
+    f_lo and f_hi are f at the ends when the caller has them already.
+    Never evaluates f outside [lo, hi].
     """
     if hi < lo:
         raise ValueError("need lo <= hi")
-    flo = float(f(lo))
-    fhi = float(f(hi))
+
+    def at(x, known):
+        value = f(x) if known is None else known
+        if isinstance(value, tuple):
+            return float(value[0]), float(value[1])
+        return float(value), math.nan
+
+    xtol = tol if xtol is None else xtol
+    flo, dlo = at(lo, f_lo)
+    fhi, dhi = at(hi, f_hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -249,26 +286,30 @@ def find_root_bracketed(
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise NoBracket(f"f({lo})={flo} and f({hi})={fhi} have equal signs")
 
+    # the two latest points (x1 the later, with its slope d1)
+    x0, f0, x1, f1, d1 = lo, flo, hi, fhi, dhi
+    if abs(flo) < abs(fhi):
+        x0, f0, x1, f1, d1 = hi, fhi, lo, flo, dlo
     stalls = 0
-    while hi - lo > tol:
-        width = hi - lo
-        x = None
-        if stalls < 2 and fhi != flo:
-            secant = hi - fhi * (hi - lo) / (fhi - flo)
-            inset = 0.01 * width
-            if lo + inset < secant < hi - inset:
-                x = secant
-        if x is None:
+    while hi - lo > xtol:
+        x = math.nan
+        if stalls < 2:
+            if d1 != 0.0:
+                x = x1 - f1 / d1
+            if not lo < x < hi and f1 != f0:
+                x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
             stalls = 0
-        fx = float(f(x))
+        fx, dx = at(x, None)
         if abs(fx) <= tol or fx == 0.0:
             return x
         if math.copysign(1.0, fx) == math.copysign(1.0, flo):
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
-        stalls = stalls + 1 if (hi - lo) > 0.5 * width else 0
+        stalls = stalls + 1 if abs(fx) > 0.5 * abs(f1) else 0
+        x0, f0, x1, f1, d1 = x1, f1, x, fx, dx
     return 0.5 * (lo + hi)
 
 

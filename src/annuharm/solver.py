@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
 )
 from .metrics import RadialMetric, parse_metric
 from .numerics import (
+    _EPS,
     _GAUSS_HI,
     _adaptive_core,
     _ArrayFunc,
@@ -149,13 +150,16 @@ class Psi:
     Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
     on the part of a panel; below q the same rule continues the integral,
     so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
-    the profile equation does.  Raises BelowCritical for c under the
-    critical constant and DivergentModulus where the integral diverges.
+    the profile equation does.  ``critical`` is the (y*, c0) pair of
+    ``_critical_info`` when the caller already has it.  Raises BelowCritical
+    for c under the critical constant and DivergentModulus where the
+    integral diverges.
     """
 
     def __init__(self, metric: RadialMetric, q: float, Q: float, c: float,
-                 tol: float = _MODULUS_TOL):
-        y_star, c_crit = _critical_info(metric, q, Q)
+                 tol: float = _MODULUS_TOL,
+                 critical: tuple[float, float] | None = None):
+        y_star, c_crit = critical or _critical_info(metric, q, Q)
         scale = max(1.0, abs(c_crit))
         if c < c_crit - 1e-12 * scale:
             raise BelowCritical(
@@ -167,7 +171,7 @@ class Psi:
             anchor = q
         elif Q - y_star <= 1e-7 * span:
             anchor = Q
-        elif near_critical:
+        elif c <= c_crit:
             raise DivergentModulus(
                 f"radicand vanishes at interior radius {y_star}; modulus diverges"
             )
@@ -186,8 +190,9 @@ class Psi:
                     _divergence_guard(_ArrayFunc(self._integrand), anchor,
                                       1.0 if lo == 0.0 else -1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    panels.append(
-                        _adaptive_core(self.g, lo, hi, tol / len(pieces))[1])
+                    panels.append(_adaptive_core(
+                        partial(self.g, noisy=True), lo, hi,
+                        tol / len(pieces))[1])
         except (DivergentIntegral, NoConvergence) as exc:
             if near_critical:
                 raise DivergentModulus(str(exc)) from exc
@@ -224,13 +229,22 @@ class Psi:
         with np.errstate(divide="ignore"):
             return 1.0 / np.sqrt(np.maximum(self._radicand(y), 0.0))
 
-    def g(self, v):
+    def g(self, v, noisy=False):
         """-dPsi/dv = 2|v| / sqrt(y^2 + c/rho(y)) at y = y(v), infinite (or
         nan at v = 0) where the radicand vanishes; callers silence the
-        floating-point warnings, since this is the quadrature's inner loop."""
+        floating-point warnings, since this is the quadrature's inner loop.
+        With ``noisy`` also the rounding uncertainty of g: the radicand is
+        summed from terms as large as y^2 + |c|/rho(y), which near the
+        critical radius exceed it by orders of magnitude, and g inherits
+        their rounding relative to the radicand."""
         size = np.abs(v)
-        radicand = self._radicand(self.anchor + v * size)
-        return 2.0 * size / np.sqrt(np.maximum(radicand, 0.0))
+        y = self.anchor + v * size
+        radicand = self._radicand(y)
+        g = 2.0 * size / np.sqrt(np.maximum(radicand, 0.0))
+        if not noisy:
+            return g
+        terms = y * y + np.abs(radicand - y * y)
+        return g, g * _EPS * terms / np.abs(radicand)
 
     def _gauss(self, a, b, weight=None):
         """int_a^b g (times weight(y)) dv by one 15-point rule, elementwise."""
@@ -325,6 +339,13 @@ class Psi:
         v_lo = self.v_of_y(p_lo)
         return whole - float(self._gauss(self.edges[0], v_lo, weight))
 
+    def dmu_dc(self) -> float:
+        """mu'(c) = -1/2 int_q^Q dy / (rho (y^2 + c/rho)^{3/2}) on the panels
+        of mu; near the critical constant only its leading digits are
+        reliable, which is all a Newton step needs."""
+        return -0.5 * self.integrate(
+            lambda y: 1.0 / (_weight(self.metric, y) + self.c), self.q)
+
 
 def modulus_of_c(
     metric: RadialMetric, q: float, Q: float, c: float, tol: float = _MODULUS_TOL
@@ -342,9 +363,10 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
     """exp(-mu(c0)): domain annuli with r below this admit no radial
     minimizer.  Returns 0.0 when the critical modulus diverges (every
     domain annulus is then feasible)."""
-    c_crit = critical_constant(metric, q, Q)
+    critical = _critical_info(metric, q, Q)
     try:
-        return math.exp(-modulus_of_c(metric, q, Q, c_crit))
+        return math.exp(-Psi(metric, q, Q, critical[1],
+                             critical=critical).total)
     except DivergentModulus:
         return 0.0
 
@@ -352,49 +374,98 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
 def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     """Solve mu(c) = log(1/r) for the variational constant.
 
-    Returns 0 for conformal pairs, the critical constant when the target
-    modulus matches the critical modulus to tol_c, and raises BelowCritical
-    when the domain annulus is fatter than the critical configuration.
+    Returns 0 for conformal pairs and otherwise a c with |mu(c) - log(1/r)|
+    <= tol_c.  The critical constant c0 is returned when the target modulus
+    matches the critical modulus to tol_c, or when the root lies closer to
+    c0 than c-space resolves (1e-12 max(1, |c0|)).  Raises BelowCritical
+    when the domain annulus is fatter than the critical configuration, and
+    NoConvergence (DivergentModulus where mu could not be integrated) when
+    no c meets the residual, as where the radicand has lost the digits that
+    resolve mu next to c0.
+
+    The root is found by safeguarded Newton steps in x = sqrt(c - c0):
+    mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
+    linear for large c, where mu ~ 1/sqrt(c).
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
     target = math.log(1.0 / spec.r)
-    # memoized: find_root_bracketed evaluates the bracket ends again, and
-    # mu at c_crit + eps can cost thousands of panels
-    mu = lru_cache(maxsize=None)(
-        lambda c: modulus_of_c(metric, q, Q, c, tol=config.tol_quad))
-    mu0 = mu(0.0)
+    critical = _critical_info(metric, q, Q)
+    c_crit = critical[1]
+    latest = [math.nan, math.nan]
+
+    def modulus(c):
+        """mu(c) and its Psi table, or (+inf, None) where Psi reports the
+        modulus divergent: only next to c0, where mu exceeds its value at
+        every c further out, so the bracket keeps its order; a root next to
+        such a c fails the residual check below."""
+        try:
+            psi = Psi(metric, q, Q, c, config.tol_quad, critical)
+        except DivergentModulus:
+            return math.inf, None
+        return psi.total, psi
+
+    def miss(mu, psi, x):
+        """target (mu - target) / mu, which is mu - target to first order
+        and smooth in x where mu is finite, and its slope in x."""
+        if psi is None:
+            return target, math.nan
+        ratio = target / mu
+        return target - target * ratio, 2.0 * x * ratio * ratio * psi.dmu_dc()
+
+    def miss_at(x):
+        mu, psi = modulus(c_crit + x * x)
+        latest[:] = x, mu
+        return miss(mu, psi, x)
+
+    mu0, psi0 = modulus(0.0)
     if abs(mu0 - target) <= config.tol_c:
         return 0.0
+    x0 = math.sqrt(-c_crit)
+    end0 = miss(mu0, psi0, x0)
     if target < mu0:
-        # expanding regime: c > 0 shrinks the modulus
-        c_hi = 1.0
-        while mu(c_hi) > target:
-            c_hi *= 2.0
-            if c_hi > 1e12:
-                raise NoConvergence("could not bracket c upward")
-        return find_root_bracketed(lambda c: mu(c) - target, 0.0, c_hi, config.tol_c)
+        # expanding regime: c > 0 shrinks the modulus, which tends to 0;
+        # the upper end is sought by steps of twice the Newton step, and at
+        # least doubling x, up to c = 1e12
+        x_cap = math.sqrt(1e12 - c_crit)
 
-    c_crit = critical_constant(metric, q, Q)
-    try:
-        mu_max = mu(c_crit)
-    except DivergentModulus:
-        mu_max = math.inf
-    if target > mu_max + config.tol_c:
-        raise BelowCritical(
-            f"domain modulus {target:.12g} exceeds the critical modulus "
-            f"{mu_max:.12g}; no radial minimizer exists",
-            critical_c=c_crit,
-            critical_r=math.exp(-mu_max),
-        )
-    if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
-        return c_crit
-    eps = max(1e-12, 1e-12 * abs(c_crit))
-    lo = c_crit + eps
-    if mu(lo) < target:
-        # target sits inside the sqrt-width collar around the critical
-        # modulus that c-space cannot resolve; report the critical constant
-        return c_crit
-    return find_root_bracketed(lambda c: mu(c) - target, lo, 0.0, config.tol_c)
+        def beyond(x, f_x):
+            step = -f_x[0] / f_x[1]
+            return min(x + max(2.0 * step if step > 0.0 else 0.0, x), x_cap)
+
+        lo, f_lo = x0, end0
+        hi = beyond(lo, f_lo)
+        while (f_hi := miss_at(hi))[0] > 0.0:
+            if hi == x_cap:
+                raise NoConvergence("could not bracket c upward")
+            lo, f_lo, hi = hi, f_hi, beyond(hi, f_hi)
+    else:
+        mu_max = modulus(c_crit)[0]
+        if target > mu_max + config.tol_c:
+            raise BelowCritical(
+                f"domain modulus {target:.12g} exceeds the critical modulus "
+                f"{mu_max:.12g}; no radial minimizer exists",
+                critical_c=c_crit,
+                critical_r=math.exp(-mu_max),
+            )
+        if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
+            return c_crit
+        # closer to c0 than this c-space cannot resolve the root (the collar)
+        lo = math.sqrt(max(1e-12, 1e-12 * abs(c_crit)))
+        f_lo = miss_at(lo)
+        if f_lo[0] <= 0.0:
+            return c_crit
+        hi, f_hi = x0, end0
+    # the bracket may shrink to a few ulps of x, where c-space ends
+    x = find_root_bracketed(miss_at, lo, hi, 0.5 * config.tol_c,
+                            xtol=4.0 * _EPS * hi, f_lo=f_lo, f_hi=f_hi)
+    c = c_crit + x * x
+    gap = (latest[1] if x == latest[0] else modulus(c)[0]) - target
+    if not abs(gap) <= config.tol_c:
+        error = DivergentModulus if math.isinf(gap) else NoConvergence
+        raise error(
+            f"modulus equation unsolved: mu(c) - log(1/r) = {gap:.3g} at "
+            f"c - c_crit = {c - c_crit:.3g}")
+    return c
 
 
 def _classify(c: float, c_crit: float, tol_c: float) -> str:

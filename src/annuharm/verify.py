@@ -262,6 +262,22 @@ def minimality_probe(
     return report
 
 
+def _modulus_sign_record(q: float, Q: float, r: float, c: float,
+                         tol_c: float) -> CheckRecord:
+    """sign(c) against sign(log(Q/q) - log(1/r)) for a solved c."""
+    gap = math.log(Q / q) - math.log(1.0 / r)
+    if abs(c) <= tol_c:
+        agree = abs(gap) <= 1e-6
+    elif c > 0.0:
+        agree = gap > -1e-9
+    else:
+        agree = gap < 1e-9
+    return CheckRecord.measure(
+        f"modulus_sign_r={r:g}", 0.0 if agree else 1.0, 0.5,
+        f"c={c:.6g}, Mod(target)-Mod(domain)={gap:.6g}",
+    )
+
+
 def modulus_equivalence_check(
     metric: RadialMetric,
     q: float,
@@ -271,32 +287,18 @@ def modulus_equivalence_check(
 ) -> VerificationReport:
     """sign(c) must match sign(log(Q/q) - log(1/r)) for every solvable r."""
     report = VerificationReport()
-    target_modulus = math.log(Q / q)
     for r in r_values:
-        name = f"modulus_sign_r={r:g}"
         try:
             c = solve_c(ProblemSpec(metric=metric, q=q, Q=Q, r=r), config)
         except BelowCritical as exc:
             report.checks.append(
                 CheckRecord.measure(
-                    name, 0.0, 0.5,
+                    f"modulus_sign_r={r:g}", 0.0, 0.5,
                     f"skipped: below critical (critical_r={exc.critical_r})",
                 )
             )
             continue
-        gap = target_modulus - math.log(1.0 / r)
-        if abs(c) <= config.tol_c:
-            agree = abs(gap) <= 1e-6
-        elif c > 0.0:
-            agree = gap > -1e-9
-        else:
-            agree = gap < 1e-9
-        report.checks.append(
-            CheckRecord.measure(
-                name, 0.0 if agree else 1.0, 0.5,
-                f"c={c:.6g}, Mod(target)-Mod(domain)={gap:.6g}",
-            )
-        )
+        report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
     return report
 
 
@@ -486,7 +488,7 @@ def run_full_suite(
         )
 
     # modulus comparison sign law for this configuration
-    report.extend(modulus_equivalence_check(metric, q, Q, [r], config))
+    report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
 
     # radial local minimality
     report.extend(

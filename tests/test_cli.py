@@ -61,6 +61,15 @@ class TestSolve:
                       "--r", "0.5")
         assert out.returncode == 1
 
+    def test_numerical_failure_exit_code(self):
+        # log(1/r) = 1e-9 needs c near 1e18, beyond the solver's 1e12 bracket
+        out = run_cli("solve", "--metric", "euclidean", "--q", "0.5",
+                      "--Q", "1", "--r", "0.999999999")
+        assert out.returncode == 4
+        doc = json.loads(out.stdout)
+        assert doc == {"error": "NoConvergence", "stage": "solver.solve_c",
+                       "detail": "could not bracket c upward"}
+
     def test_consistent_with_critical_command(self):
         solved = json.loads(run_cli(
             "solve", "--metric", "sphere", "--q", "0.5", "--Q", "1",

@@ -1,0 +1,184 @@
+"""The modulus equation mu(c) = log(1/r): its residual stop, the work one
+solve costs, and the quadrature of mu next to the critical constant."""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+import annuharm.solver as solver
+import annuharm.verify as verify
+from annuharm import (
+    DivergentModulus,
+    NoConvergence,
+    ProblemSpec,
+    SolverConfig,
+    build_profile,
+    critical_constant,
+    critical_inner_radius,
+    modulus_of_c,
+    parse_metric,
+    run_full_suite,
+    solve_c,
+)
+from annuharm.solver import Psi
+
+# the twelve acceptance configurations (metric, q, Q, r)
+TWELVE_CONFIGS = [
+    ("euclidean", 0.8, 1.0, 0.5), ("euclidean", 0.8, 1.0, 0.9),
+    ("inverse_r", 0.5, 1.0, 0.589), ("inverse_r", 0.5, 1.0, 0.45),
+    ("sphere", 0.5, 1.0, 0.7), ("sphere", 0.5, 1.0, 0.4),
+    ("euclidean", 0.8, 1.0, 0.8), ("euclidean", 0.8, 1.0, 0.6),
+    ("inverse_r", 0.5, 1.0, 0.5), ("sphere", 0.5, 1.0, 0.5),
+    ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
+]
+TOL_C = SolverConfig().tol_c
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of _critical_info, Psi builds and solve_c (as verify calls it)."""
+    seen = {"critical": 0, "psi": 0, "solve": 0}
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_critical_info",
+                        counted("critical", solver._critical_info))
+    monkeypatch.setattr(Psi, "__init__", counted("psi", Psi.__init__))
+    monkeypatch.setattr(verify, "solve_c", counted("solve", verify.solve_c))
+    return seen
+
+
+class TestWork:
+    @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+    def test_solve_c(self, counts, name, q, Q, r):
+        solve_c(ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r))
+        assert counts["critical"] == 1
+        assert 1 <= counts["psi"] <= 8
+
+    def test_critical_inner_radius(self, counts):
+        critical_inner_radius(parse_metric("sphere"), 0.5, 1.0)
+        assert counts == {"critical": 1, "psi": 1, "solve": 0}
+
+    def test_one_solve_per_suite(self, counts):
+        spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.7)
+        report = run_full_suite(spec)
+        assert report.all_passed
+        assert counts["solve"] == 1
+        assert "modulus_sign_r=0.7" in [check.name for check in report.checks]
+
+
+def test_residual_stop_near_critical():
+    # the root lies near c - c0 = 2.43e-9, where mu is steep in c: a 1e-9
+    # bracket in c left a modulus gap of 7.4e-6 here
+    metric = parse_metric("power:-3")
+    spec = ProblemSpec(metric=metric, q=0.44264, Q=0.79757, r=0.19971)
+    c = solve_c(spec)
+    gap = modulus_of_c(metric, spec.q, spec.Q, c) - math.log(1.0 / spec.r)
+    assert abs(gap) <= TOL_C
+    assert build_profile(spec, c).profile(spec.r) == pytest.approx(spec.q,
+                                                                   abs=1e-8)
+
+
+@pytest.mark.parametrize("q, Q, r", [
+    (0.0872894, 0.504706, 0.0741107),
+    # the root lies 1.9e-7 above c0, where y^2 (1 + c) keeps most of its
+    # digits but mu is steep in c
+    (0.5, 0.5005, 0.1),
+])
+def test_constant_density_weight_solves(q, Q, r):
+    # power:-2 makes y^2 rho constant, so mu = log(Q/q) / sqrt(1 + c) is
+    # finite for every c > c0 = -1 and diverges only at c0
+    spec = ProblemSpec(metric=parse_metric("power:-2"), q=q, Q=Q, r=r)
+    exact = (math.log(spec.Q / spec.q) / math.log(1.0 / spec.r)) ** 2 - 1.0
+    c = solve_c(spec)
+    assert abs(c - exact) <= 1e-9
+    gap = modulus_of_c(spec.metric, q, Q, c) - math.log(1.0 / spec.r)
+    assert abs(gap) <= TOL_C
+
+
+
+def test_unresolved_root_raises():
+    # the root lies 7.5e-11 above c0, where the radicand y^2 (1 + c) keeps
+    # about five digits, too few to meet tol_c: the solver must raise rather
+    # than return a c that misses the residual
+    spec = ProblemSpec(metric=parse_metric("power:-2"), q=0.5, Q=0.50001,
+                       r=0.1)
+    try:
+        c = solve_c(spec)
+    except (NoConvergence, DivergentModulus):
+        return
+    gap = modulus_of_c(spec.metric, spec.q, spec.Q, c) - math.log(1.0 / spec.r)
+    assert abs(gap) <= TOL_C
+
+
+def test_critical_radius_with_two_near_critical_ends():
+    # y^2 rho(y) = (y/(1+y^2))^2 nearly agrees at both ends; the modulus
+    # integrand is singular at one end and nearly singular at the other
+    q, Q = 0.93617, 1.0697
+    rho = lambda y: 1.0 / (1.0 + y * y) ** 2
+    f = lambda y: y / (1.0 + y * y)
+    y_star, other = (q, Q) if f(q) <= f(Q) else (Q, q)
+    side = math.copysign(1.0, other - y_star)
+
+    def integrand(u):
+        # y = y* + side u^2 turns dy / sqrt((w(y) - w(y*)) / rho) into
+        # 2 sqrt(rho / |(w(y) - w(y*)) / (y - y*)|) du, smooth at u = 0
+        y = y_star + side * u * u
+        slope = (1.0 - y * y_star) / ((1.0 + y * y) * (1.0 + y_star**2)) \
+            * (f(y) + f(y_star))
+        return 2.0 * math.sqrt(rho(y) / abs(slope))
+
+    mu, _ = quad(integrand, 0.0, math.sqrt(Q - q), epsabs=1e-13, epsrel=1e-13)
+    reference = math.exp(-mu)
+    assert reference == pytest.approx(0.0529012283, rel=1e-8)
+    got = critical_inner_radius(parse_metric("sphere"), q, Q)
+    assert got == pytest.approx(reference, rel=1e-6)
+
+
+def test_quadrature_settles_rounding_noise():
+    # 1e-12 |c0| above the critical constant the radicand y^2 + c y^3 keeps
+    # only a few digits next to y* = Q; refining that noise took 14,403 panels
+    metric = parse_metric("power:-3")
+    q, Q = 0.17716, 0.35917
+    c_crit = critical_constant(metric, q, Q)
+    c = c_crit + 1e-12 * abs(c_crit)
+    psi = Psi(metric, q, Q, c)
+    assert psi.edges.size - 1 <= 200
+    # int dy / (y sqrt(1 + c y)) = log((1 - u)/(1 + u)), u = sqrt(1 + c y),
+    # at the exact float inputs; one ulp of c moves it by 1.6e-10
+    with mpmath.workdps(50):
+        u = lambda y: mpmath.sqrt(1 + mpmath.mpf(c) * mpmath.mpf(y))
+        anti = lambda y: mpmath.log((1 - u(y)) / (1 + u(y)))
+        exact = float(anti(Q) - anti(q))
+    assert abs(psi.total - exact) <= 1e-10
+
+
+_BOUNDS = {"euclidean": 10.0, "inverse_r": 10.0, "sphere": 10.0,
+           "hyperbolic": 0.95}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_BOUNDS)),
+    outer=st.floats(0.3, 1.0),
+    ratio=st.floats(0.1, 0.9),
+    lift=st.floats(1e-3, 4.0),
+)
+def test_solve_round_trips_modulus(name, outer, ratio, lift):
+    metric = parse_metric(name)
+    Q = outer * _BOUNDS[name]
+    q = ratio * Q
+    c = critical_constant(metric, q, Q) * (1.0 - lift)
+    target = modulus_of_c(metric, q, Q, c)
+    spec = ProblemSpec(metric=metric, q=q, Q=Q, r=math.exp(-target))
+    solved = solve_c(spec)
+    assert abs(modulus_of_c(metric, q, Q, solved) - target) <= TOL_C
+    assert solved == pytest.approx(c, rel=1e-6, abs=1e-9)

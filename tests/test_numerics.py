@@ -85,6 +85,25 @@ class TestFindRootBracketed:
         with pytest.raises(NoBracket):
             find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
+    def test_newton_steps_from_known_ends(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        x = find_root_bracketed(f, 1.0, 2.0, 1e-14, f_lo=f(1.0), f_hi=f(2.0))
+        assert abs(x - math.sqrt(2.0)) <= 1e-14
+        # the two ends once each, then five Newton steps from x = 1 (the
+        # secant alone takes six)
+        assert len(seen) <= 2 + 5
+
+    def test_stops_at_xtol(self):
+        # a jump, not a root: the bracket closes on it to xtol
+        x = find_root_bracketed(lambda x: 1.0 if x < 0.3 else -1.0,
+                                0.0, 1.0, 1e-12, xtol=1e-6)
+        assert abs(x - 0.3) <= 1e-6
+
     def test_never_evaluates_outside(self):
         seen = []
 

@@ -68,11 +68,12 @@ def test_inverse_round_trip(name, q, Q, r):
 
 
 def test_profile_mismatch_reports_its_source():
-    # solve_c stops on a 1e-9 bracket in c; this near-critical root leaves a
-    # modulus gap that the exact first integral turns into a miss of p(r)
+    # a constant 2e-9 above the critical one, short of the root near 2.43e-9:
+    # mu is steep there, so the modulus gap is large enough for the exact
+    # first integral to miss q
     metric = parse_metric("power:-3")
     spec = ProblemSpec(metric=metric, q=0.44264, Q=0.79757, r=0.19971)
-    c = solve_c(spec)
+    c = critical_constant(metric, spec.q, spec.Q) + 2.0e-9
     with pytest.raises(ProfileMismatch) as info:
         build_profile(spec, c)
     message = str(info.value)
@@ -80,7 +81,7 @@ def test_profile_mismatch_reports_its_source():
     assert miss > 1e-6 * spec.Q
     gap = modulus_of_c(metric, spec.q, spec.Q, c) - math.log(1.0 / spec.r)
     assert f"Psi(q) - log(1/r) = {gap:.3g}" in message
-    assert abs(gap - 7.4e-6) <= 0.1e-6
+    assert abs(gap - 7.79e-6) <= 0.1e-6
     assert f"c - c_crit = {c - critical_constant(metric, spec.q, spec.Q):.3g}" \
         in message
 
