@@ -26,7 +26,7 @@ from .errors import (
 from .fields import (
     PolarGrid,
     energy,
-    export_grid,
+    field_arrays,
     kk_constants,
     lipschitz_constant,
 )
@@ -64,9 +64,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    """CSV number with 17 significant digits (round-trip exact)."""
-    return format(float(x) + 0.0, ".17g")
+def _cell(value) -> str:
+    """CSV cell: a number with 17 significant digits (round-trip exact), a
+    label as it is, a missing value empty."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return format(float(value) + 0.0, ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,6 +138,17 @@ def _emit(text: str, out_path: str) -> None:
         sys.stdout.write(text)
 
 
+def _emit_table(header: str, rows: list[dict], fmt: str, out_path: str) -> None:
+    """Rows keyed by the header's names, as JSON records or as CSV."""
+    if fmt == "json":
+        text = json.dumps(rows, indent=2)
+    else:
+        keys = header.split(",")
+        text = "\n".join([header] + [",".join(_cell(row[key]) for key in keys)
+                                     for row in rows])
+    _emit(text + "\n", out_path)
+
+
 def _solver_config(args) -> SolverConfig:
     # the solver's equation tolerance stays floored at a resolvable level;
     # the raw --tol still reaches classification ties and check tolerances
@@ -171,15 +187,7 @@ def _solve_summary(spec: ProblemSpec, config: SolverConfig) -> dict:
 
 
 def cmd_solve(args) -> int:
-    spec = _problem(args)
-    config = _solver_config(args)
-    try:
-        payload = _solve_summary(spec, config)
-    except BelowCritical as exc:
-        _emit(json.dumps({"error": "BelowCritical",
-                          "critical_r": exc.critical_r}, indent=2) + "\n",
-              args.out)
-        return _EXIT_INFEASIBLE
+    payload = _solve_summary(_problem(args), _solver_config(args))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
@@ -199,47 +207,19 @@ def cmd_critical(args) -> int:
 def cmd_eval(args) -> int:
     spec = _problem(args)
     config = _solver_config(args)
-    try:
-        c = solve_c(spec, config)
-        profile = build_profile(spec, c, config)
-    except BelowCritical as exc:
-        _emit(json.dumps({"error": "BelowCritical",
-                          "critical_r": exc.critical_r}, indent=2) + "\n",
-              args.out)
-        return _EXIT_INFEASIBLE
+    profile = build_profile(spec, solve_c(spec, config), config)
     grid = PolarGrid(n_s=args.grid_s, n_t=args.grid_t, s_range=(spec.r, 1.0))
-    samples = export_grid(profile, spec.metric, grid)
-    if args.format == "json":
-        rows = [
-            {
-                "s": abs(smp.z), "t": math.atan2(smp.z.imag, smp.z.real) % (2 * math.pi),
-                "re_w": smp.w.real, "im_w": smp.w.imag,
-                "re_wz": smp.wz.real, "im_wz": smp.wz.imag,
-                "re_wzb": smp.wzb.real, "im_wzb": smp.wzb.imag,
-                "jac": smp.jac, "opnorm": smp.opnorm, "lonorm": smp.lonorm,
-                "re_hopf": smp.hopf.real, "im_hopf": smp.hopf.imag,
-            }
-            for smp in samples
-        ]
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        return _EXIT_OK
-    lines = [_EVAL_HEADER]
-    s_values = grid.s_values
-    t_values = grid.t_values
-    index = 0
-    for i in range(grid.n_s):
-        for j in range(grid.n_t):
-            smp = samples[index]
-            index += 1
-            lines.append(",".join([
-                _fmt(s_values[i]), _fmt(t_values[j]),
-                _fmt(smp.w.real), _fmt(smp.w.imag),
-                _fmt(smp.wz.real), _fmt(smp.wz.imag),
-                _fmt(smp.wzb.real), _fmt(smp.wzb.imag),
-                _fmt(smp.jac), _fmt(smp.opnorm), _fmt(smp.lonorm),
-                _fmt(smp.hopf.real), _fmt(smp.hopf.imag),
-            ]))
-    _emit("\n".join(lines) + "\n", args.out)
+    arrays = field_arrays(profile, spec.metric, grid.s_values, grid.t_values)
+    keys = _EVAL_HEADER.split(",")
+    columns = []
+    for key in keys:
+        # re_x and im_x are the parts of the complex column x
+        part, _, name = key.partition("_")
+        column = arrays[key] if not name else \
+            arrays[name].real if part == "re" else arrays[name].imag
+        columns.append(column.ravel().tolist())
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    _emit_table(_EVAL_HEADER, rows, args.format, args.out)
     return _EXIT_OK
 
 
@@ -269,39 +249,19 @@ def cmd_sweep(args) -> int:
     rows = []
     for i in range(args.r_steps):
         r = args.r_min + i * (args.r_max - args.r_min) / (args.r_steps - 1)
-        mod_domain = math.log(1.0 / r)
         spec = ProblemSpec(metric=metric, q=args.q, Q=args.Q, r=r)
         try:
             c = solve_c(spec, config)
         except BelowCritical:
-            rows.append({"r": r, "c": None, "classification": "none",
-                         "energy": None, "lipschitz_sup": None,
-                         "lonorm_inf": None, "mod_domain": mod_domain,
-                         "mod_target": mod_target})
-            continue
-        profile = build_profile(spec, c, config)
-        sup_op, inf_lo = lipschitz_constant(profile, metric)
-        rows.append({
-            "r": r, "c": c, "classification": profile.classification,
-            "energy": energy(profile, metric), "lipschitz_sup": sup_op,
-            "lonorm_inf": inf_lo, "mod_domain": mod_domain,
-            "mod_target": mod_target,
-        })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2) + "\n", args.out)
-        return _EXIT_OK
-    lines = [_SWEEP_HEADER]
-    for row in rows:
-        cells = [_fmt(row["r"])]
-        for key in ("c",):
-            cells.append("" if row[key] is None else _fmt(row[key]))
-        cells.append(row["classification"])
-        for key in ("energy", "lipschitz_sup", "lonorm_inf"):
-            cells.append("" if row[key] is None else _fmt(row[key]))
-        cells.append(_fmt(row["mod_domain"]))
-        cells.append(_fmt(row["mod_target"]))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", args.out)
+            solved = (None, "none", None, None, None)
+        else:
+            profile = build_profile(spec, c, config)
+            sup_op, inf_lo = lipschitz_constant(profile, metric)
+            solved = (c, profile.classification, energy(profile, metric),
+                      sup_op, inf_lo)
+        values = (r, *solved, math.log(1.0 / r), mod_target)
+        rows.append(dict(zip(_SWEEP_HEADER.split(","), values)))
+    _emit_table(_SWEEP_HEADER, rows, args.format, args.out)
     return _EXIT_OK
 
 
@@ -329,6 +289,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BelowCritical as exc:
+        payload = {"error": "BelowCritical", "critical_r": exc.critical_r}
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return _EXIT_INFEASIBLE
     except _NUMERICAL_ERRORS as exc:
         payload = {"error": type(exc).__name__, "stage": _failed_stage(exc),
                    "detail": str(exc)}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class PolarGrid:
         return 2.0 * math.pi * np.arange(self.n_t) / self.n_t
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """All pointwise quantities of the map at one grid point."""
 
     z: complex
@@ -84,38 +84,55 @@ def _require_in_annulus(profile: MinimizerProfile, s: float) -> None:
         raise OutOfAnnulus(f"|z| = {s} outside the closed annulus [{r}, 1]")
 
 
-def _radial(profile: MinimizerProfile, z: complex) -> tuple[float, float, float]:
-    """(|z|, p, p') at z, each radius evaluated once."""
+def _columns(
+    profile: MinimizerProfile, metric: RadialMetric, s, phase
+) -> FieldSample:
+    """The eight field quantities at radii s and unit phases e^{it},
+    broadcast against each other, as a FieldSample of arrays.
+
+    p and p' (from the first integral) are read once per entry of s.
+    """
+    s = np.asarray(s, dtype=float)
+    p = profile.profile(s)
+    dp = profile.psi.slope(s, p)
+    tangential = p / s
+    wz = (0.5 * (dp + tangential)).astype(complex)
+    wzb = 0.5 * (dp - tangential) * phase**2
+    return FieldSample(*np.broadcast_arrays(
+        s * phase, p * phase, wz, wzb, p * dp / s,
+        np.maximum(tangential, dp), np.minimum(tangential, dp),
+        metric.eval(p) * wz * np.conj(wzb),
+    ))
+
+
+def _at_point(profile: MinimizerProfile, metric: RadialMetric,
+              z: complex) -> FieldSample:
     s = abs(z)
     _require_in_annulus(profile, s)
-    p = profile.profile(s)
-    return s, p, profile.psi.slope(s, p)
+    return _columns(profile, metric, s, z / s)
 
 
 def map_point(profile: MinimizerProfile, z: complex) -> complex:
     """w(z) = p(|z|) z / |z|."""
-    s, p, _ = _radial(profile, z)
-    return p * z / s
+    return complex(_at_point(profile, profile.spec.metric, z).w)
 
 
 def derivatives_point(profile: MinimizerProfile, z: complex) -> tuple[complex, complex]:
     """(w_z, w_zbar) at z, with p' taken from the first integral."""
-    s, p, dp = _radial(profile, z)
-    return complex(0.5 * (dp + p / s), 0.0), 0.5 * (dp - p / s) * (z / s) ** 2
+    sample = _at_point(profile, profile.spec.metric, z)
+    return complex(sample.wz), complex(sample.wzb)
 
 
 def operator_norms(profile: MinimizerProfile, z: complex) -> tuple[float, float]:
     """(|Dw|, l(Dw)) = (max, min) of {p/s, p'} at |z|."""
-    s, p, dp = _radial(profile, z)
-    tangential = p / s
-    return max(tangential, dp), min(tangential, dp)
+    sample = _at_point(profile, profile.spec.metric, z)
+    return float(sample.opnorm), float(sample.lonorm)
 
 
 def hopf_quantity(profile: MinimizerProfile, metric: RadialMetric, z: complex) -> complex:
     """rho(|w|) w_z conj(w_zbar); multiplied by z^2 this is the real
     constant c/4."""
-    s, p, dp = _radial(profile, z)
-    return metric.eval(p) * 0.25 * (dp * dp - (p / s) ** 2) * np.conj(z / s) ** 2
+    return complex(_at_point(profile, metric, z).hopf)
 
 
 def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
@@ -179,29 +196,16 @@ def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float
 def field_arrays(
     profile: MinimizerProfile, metric: RadialMetric, s: np.ndarray, t: np.ndarray
 ) -> dict:
-    """Vectorized field quantities on the tensor grid s x t (s-major).
+    """Vectorized field quantities on the tensor grid s x t (s-major): the
+    grid values "s" and "t" and the eight FieldSample columns.
 
     The radial quantities are evaluated once per radius and broadcast over t.
     """
-    s = np.asarray(s, float)
-    S, T = np.meshgrid(s, np.asarray(t, float), indexing="ij")
-    p = profile.profile(s)
-    dp = profile.psi.slope(s, p)
-    column = lambda x: np.broadcast_to(x[:, None], S.shape)
-    P, DP, tangential = column(p), column(dp), column(p / s)
-    phase = np.exp(1j * T)
-    Z = S * phase
-    W = P * phase
-    wz = (0.5 * (DP + tangential)).astype(complex)
-    wzb = 0.5 * (DP - tangential) * phase**2
-    jac = column(p * dp / s)
-    opnorm = np.maximum(tangential, DP)
-    lonorm = np.minimum(tangential, DP)
-    hopf = column(metric.eval(p)) * wz * np.conj(wzb)
-    return {
-        "s": S, "t": T, "z": Z, "w": W, "wz": wz, "wzb": wzb,
-        "jac": jac, "opnorm": opnorm, "lonorm": lonorm, "hopf": hopf,
-    }
+    s = np.asarray(s, float)[:, None]
+    t = np.asarray(t, float)
+    columns = _columns(profile, metric, s, np.exp(1j * t))
+    grid_s, grid_t = np.broadcast_arrays(s, t)
+    return {"s": grid_s, "t": grid_t, **columns._asdict()}
 
 
 def export_grid(
@@ -213,19 +217,5 @@ def export_grid(
     if lo < r - _ANNULUS_SLACK or hi > 1.0 + _ANNULUS_SLACK:
         raise OutOfAnnulus(f"grid range {grid.s_range} outside [{r}, 1]")
     arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
-    samples = []
-    for i in range(grid.n_s):
-        for j in range(grid.n_t):
-            samples.append(
-                FieldSample(
-                    z=complex(arrays["z"][i, j]),
-                    w=complex(arrays["w"][i, j]),
-                    wz=complex(arrays["wz"][i, j]),
-                    wzb=complex(arrays["wzb"][i, j]),
-                    jac=float(arrays["jac"][i, j]),
-                    opnorm=float(arrays["opnorm"][i, j]),
-                    lonorm=float(arrays["lonorm"][i, j]),
-                    hopf=complex(arrays["hopf"][i, j]),
-                )
-            )
-    return samples
+    columns = [arrays[name].ravel().tolist() for name in FieldSample._fields]
+    return list(map(FieldSample._make, zip(*columns)))

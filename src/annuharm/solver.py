@@ -65,6 +65,7 @@ EXPANDING = "Expanding"
 SUBCRITICAL = "Subcritical"
 CRITICAL = "Critical"
 
+# absolute error allowed the quadrature of Psi over [q, Q]
 _MODULUS_TOL = 1e-11
 # relative closeness of c to the critical constant below which the modulus
 # integrand must be treated as endpoint-singular
@@ -104,15 +105,15 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances for the solver and the seed of the randomized probes."""
+    """The tolerance of the modulus equation and the seed of the randomized
+    probes."""
 
     tol_c: float = 1e-9
-    tol_quad: float = 1e-11
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.tol_c, self.tol_quad) <= 0.0:
-            raise ValueError("all tolerances must be positive")
+        if self.tol_c <= 0.0:
+            raise ValueError("tol_c must be positive")
 
 
 def _weight(metric: RadialMetric, y):
@@ -157,7 +158,6 @@ class Psi:
     """
 
     def __init__(self, metric: RadialMetric, q: float, Q: float, c: float,
-                 tol: float = _MODULUS_TOL,
                  critical: tuple[float, float] | None = None):
         y_star, c_crit = critical or _critical_info(metric, q, Q)
         scale = max(1.0, abs(c_crit))
@@ -192,7 +192,7 @@ class Psi:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     panels.append(_adaptive_core(
                         partial(self.g, noisy=True), lo, hi,
-                        tol / len(pieces))[1])
+                        _MODULUS_TOL / len(pieces))[1])
         except (DivergentIntegral, NoConvergence) as exc:
             if near_critical:
                 raise DivergentModulus(str(exc)) from exc
@@ -347,16 +347,14 @@ class Psi:
             lambda y: 1.0 / (_weight(self.metric, y) + self.c), self.q)
 
 
-def modulus_of_c(
-    metric: RadialMetric, q: float, Q: float, c: float, tol: float = _MODULUS_TOL
-) -> float:
+def modulus_of_c(metric: RadialMetric, q: float, Q: float, c: float) -> float:
     """mu(c) = int_q^Q dy / sqrt(y^2 + c/rho(y)) = Psi(q).
 
     Raises BelowCritical for c under the critical constant and
     DivergentModulus when the radicand vanishes inside (q, Q) or the
     endpoint singularity at the critical constant is not integrable.
     """
-    return Psi(metric, q, Q, c, tol).total
+    return Psi(metric, q, Q, c).total
 
 
 def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
@@ -399,7 +397,7 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
         every c further out, so the bracket keeps its order; a root next to
         such a c fails the residual check below."""
         try:
-            psi = Psi(metric, q, Q, c, config.tol_quad, critical)
+            psi = Psi(metric, q, Q, c, critical)
         except DivergentModulus:
             return math.inf, None
         return psi.total, psi
@@ -520,7 +518,7 @@ def build_profile(
     inconsistent.
     """
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    psi = Psi(metric, q, Q, c, config.tol_quad)
+    psi = Psi(metric, q, Q, c)
     inner = psi.radius(r)
     mismatch = abs(inner - q)
     if mismatch > 1e-6 * Q:

@@ -1,8 +1,17 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import annuharm
 from annuharm import ProblemSpec, build_profile, parse_metric, solve_c
+
+# subprocesses (`python -m annuharm`, the import check) load the annuharm
+# under test, also when pytest found it through its `pythonpath` setting
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(annuharm.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH"))))
 
 
 def solve_profile(metric_name, q, Q, r):

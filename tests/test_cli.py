@@ -1,11 +1,16 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+
+from annuharm.cli import main
 
 EVAL_HEADER = "s,t,re_w,im_w,re_wz,im_wz,re_wzb,im_wzb,jac,opnorm,lonorm,re_hopf,im_hopf"
 SWEEP_HEADER = "r,c,classification,energy,lipschitz_sup,lonorm_inf,mod_domain,mod_target"
@@ -14,6 +19,14 @@ SWEEP_HEADER = "r,c,classification,energy,lipschitz_sup,lonorm_inf,mod_domain,mo
 def run_cli(*args):
     cmd = [sys.executable, "-m", "annuharm", *args]
     return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def run_main(*args):
+    """(exit code, stdout) of the CLI run in this process."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(args))
+    return code, out.getvalue()
 
 
 def test_help():
@@ -121,6 +134,30 @@ class TestEval:
         rows = [line.split(",") for line in out.stdout.strip().splitlines()[1:]]
         inner = [row for row in rows if float(row[0]) == 0.5]
         assert inner and all(float(row[10]) <= 1e-9 for row in inner)
+
+    def test_json_matches_csv(self):
+        args = ("eval", "--metric", "sphere", "--q", "0.5", "--Q", "1",
+                "--r", "0.7", "--grid_s", "4", "--grid_t", "8")
+        code, text = run_main(*args)
+        code_json, text_json = run_main(*args, "--format", "json")
+        assert code == code_json == 0
+        header, *rows = csv.reader(io.StringIO(text))
+        records = json.loads(text_json)
+        assert len(records) == len(rows) == 4 * 8
+        for record, row in zip(records, rows):
+            assert list(record) == header
+            assert list(record.values()) == [float(cell) for cell in row]
+
+    def test_below_critical_payload_as_solve(self):
+        args = ("--metric", "euclidean", "--q", "0.8", "--Q", "1", "--r", "0.4")
+        solved = run_main("solve", *args)
+        evaluated = run_main("eval", *args)
+        assert evaluated == solved
+        assert solved[0] == 2
+        doc = json.loads(solved[1])
+        assert list(doc) == ["error", "critical_r"]
+        assert doc["error"] == "BelowCritical"
+        assert doc["critical_r"] == pytest.approx(0.5, abs=1e-8)
 
     def test_17_digit_round_trip(self):
         out = run_cli("eval", "--metric", "sphere", "--q", "0.5", "--Q", "1",

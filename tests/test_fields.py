@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annuharm import (
+    FieldSample,
     OutOfAnnulus,
     PolarGrid,
     area,
@@ -20,6 +21,7 @@ from annuharm import (
     operator_norms,
     parse_metric,
 )
+from annuharm.fields import field_arrays
 
 EUCLID = parse_metric("euclidean")
 INV_R = parse_metric("inverse_r")
@@ -203,3 +205,41 @@ class TestExportGrid:
             assert row.opnorm ** 2 + row.lonorm ** 2 == pytest.approx(
                 2 * abs(row.wz) ** 2 + 2 * abs(row.wzb) ** 2, rel=1e-12)
             assert row.jac >= -1e-12
+
+    def test_rows_are_field_arrays_bitwise(self, sphere_expanding):
+        metric = parse_metric("sphere")
+        grid = PolarGrid(n_s=8, n_t=16, s_range=(sphere_expanding.spec.r, 1.0))
+        rows = export_grid(sphere_expanding, metric, grid)
+        arrays = field_arrays(sphere_expanding, metric, grid.s_values,
+                              grid.t_values)
+        for i in range(grid.n_s):
+            for j in range(grid.n_t):
+                row = rows[i * grid.n_t + j]
+                for name in FieldSample._fields:
+                    value, expected = getattr(row, name), arrays[name][i, j]
+                    assert type(value) is type(expected.item())
+                    assert np.asarray(value).tobytes() == expected.tobytes()
+
+    def test_field_names(self):
+        assert FieldSample._fields == ("z", "w", "wz", "wzb", "jac", "opnorm",
+                                       "lonorm", "hopf")
+
+    @pytest.mark.parametrize("fixture, metric", [
+        ("sphere_expanding", parse_metric("sphere")),
+        ("inverse_r_expanding", INV_R),
+    ])
+    def test_point_helpers_match_grid(self, fixture, metric, request):
+        profile = request.getfixturevalue(fixture)
+        grid = PolarGrid(n_s=6, n_t=8, s_range=(profile.spec.r, 1.0))
+        arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
+        close = lambda got, want: abs(got - want) <= 1e-14 * abs(want)
+        for i in range(grid.n_s):
+            for j in range(grid.n_t):
+                z = complex(arrays["z"][i, j])
+                at = lambda name: arrays[name][i, j]
+                assert close(map_point(profile, z), at("w"))
+                wz, wzb = derivatives_point(profile, z)
+                assert close(wz, at("wz")) and close(wzb, at("wzb"))
+                op, lo = operator_norms(profile, z)
+                assert close(op, at("opnorm")) and close(lo, at("lonorm"))
+                assert close(hopf_quantity(profile, metric, z), at("hopf"))
