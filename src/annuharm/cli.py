@@ -34,6 +34,7 @@ from .metrics import area, parse_metric
 from .solver import (
     ProblemSpec,
     SolverConfig,
+    _sharing_roots,
     build_profile,
     critical_constant,
     critical_inner_radius,
@@ -288,7 +289,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # a command reads its profile from the Psi table solve_c built
+        with _sharing_roots():
+            return _COMMANDS[args.command](args)
     except BelowCritical as exc:
         payload = {"error": "BelowCritical", "critical_r": exc.critical_r}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -85,15 +85,17 @@ def _require_in_annulus(profile: MinimizerProfile, s: float) -> None:
 
 
 def _columns(
-    profile: MinimizerProfile, metric: RadialMetric, s, phase
+    profile: MinimizerProfile, metric: RadialMetric, s, phase, p=None
 ) -> FieldSample:
     """The eight field quantities at radii s and unit phases e^{it},
     broadcast against each other, as a FieldSample of arrays.
 
-    p and p' (from the first integral) are read once per entry of s.
+    p and p' (from the first integral) are read once per entry of s; a
+    caller that already has p = p(s) passes it.
     """
     s = np.asarray(s, dtype=float)
-    p = profile.profile(s)
+    if p is None:
+        p = profile.profile(s)
     dp = profile.psi.slope(s, p)
     tangential = p / s
     wz = (0.5 * (dp + tangential)).astype(complex)
@@ -143,9 +145,8 @@ def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
     integrated on the panels of the profile's first integral.
     """
     c = profile.c
-    inner = profile.profile(profile.spec.r)
     weight = lambda y: 2.0 * y * y * metric.eval(y) + c
-    return 2.0 * math.pi * profile.psi.integrate(weight, inner)
+    return 2.0 * math.pi * profile.psi.integrate(weight, profile.inner)
 
 
 def lipschitz_constant(
@@ -155,34 +156,33 @@ def lipschitz_constant(
 
     Both quantities are t-independent for radial maps.  They are scanned
     densely in the first integral's variable v, where p = y(v) and s =
-    exp(-Psi) are explicit, and the scan winners are refined by zooming.
+    exp(-Psi) are explicit, and the scan winners are refined by zooming:
+    seven 33-point scans per quantity, each shrinking the bracket around the
+    winner 16-fold, with both quantities' scans evaluated together.  The
+    scan's endpoints stay candidates.
     """
     psi = profile.psi
-    v_inner = psi.v_of_log(math.log(1.0 / profile.spec.r))[0]
 
-    def stretches(v):
-        """(p/s, p') at y(v)."""
+    def extremes(v):
+        """(max, -min) of (p/s, p') at y(v)."""
         p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
-        return p / s, psi.slope(s, p)
+        tangential, dp = p / s, psi.slope(s, p)
+        return np.maximum(tangential, dp), -np.minimum(tangential, dp)
 
-    scan = np.linspace(v_inner, psi.edges[-1], 2048)
-    tangential, dp = stretches(scan)
-    sup_op = _zoom_max(lambda v: np.maximum(*stretches(v)), scan,
-                       np.maximum(tangential, dp))
-    inf_lo = -_zoom_max(lambda v: -np.minimum(*stretches(v)), scan,
-                        -np.minimum(tangential, dp))
-    return sup_op, inf_lo
-
-
-def _zoom_max(f, x: np.ndarray, y: np.ndarray) -> float:
-    """Refine the maximum of a scan y = f(x): seven 33-point scans, each
-    shrinking the bracket around the winner 16-fold.  The scan's endpoints
-    stay candidates."""
+    scan = np.linspace(profile.inner_v, psi.edges[-1], 2048)
+    xs, ys = (scan, scan), extremes(scan)
     for _ in range(7):
-        k = int(np.argmax(y))
-        x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
-        y = f(x)
-    return float(np.max(y))
+        xs = [_zoom(x, y) for x, y in zip(xs, ys)]
+        sup_op, neg_inf = extremes(np.concatenate(xs))
+        n = xs[0].size
+        ys = sup_op[:n], neg_inf[n:]
+    return float(np.max(ys[0])), -float(np.max(ys[1]))
+
+
+def _zoom(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """33 points across the neighbours of the scan winner argmax y."""
+    k = int(np.argmax(y))
+    return np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
 
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:

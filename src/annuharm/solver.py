@@ -19,6 +19,8 @@ fatter than r0 = exp(-mu(c0)) admit no radial minimizer.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -130,6 +132,35 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
         )
     y_star, w_min = minimize_scalar(lambda y: _weight(metric, y), q, Q, 1e-13)
     return y_star, -w_min
+
+
+# [(metric, q, Q), critical data, Psi table at the root or None] of the
+# latest solve_c inside a _sharing_roots() block; None outside every block
+_KEPT_ROOT: ContextVar[list | None] = ContextVar("_KEPT_ROOT", default=None)
+
+
+@contextmanager
+def _sharing_roots():
+    """Within the block solve_c keeps its critical data and the Psi table it
+    built at its root, and solve_c, build_profile and critical_inner_radius
+    read them for the same (metric, q, Q) (and c) instead of computing them
+    again.  The inputs are the same, so are the outputs, bitwise.  What is
+    kept is dropped when the block ends: nothing outlives one verification
+    suite or one command."""
+    token = _KEPT_ROOT.set([])
+    try:
+        yield
+    finally:
+        _KEPT_ROOT.reset(token)
+
+
+def _kept_root(metric: RadialMetric, q: float, Q: float):
+    """(critical data, root Psi table or None) that solve_c kept for
+    (metric, q, Q), or (None, None)."""
+    kept = _KEPT_ROOT.get()
+    if kept and kept[0] == (metric, q, Q):
+        return kept[1], kept[2]
+    return None, None
 
 
 def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
@@ -255,8 +286,11 @@ class Psi:
             vals = self.g(nodes)
             if weight is not None:
                 vals = vals * weight(self.y_of_v(nodes))
+            # a per-row sum: a BLAS product rounds a row by its place in the
+            # batch, and p(s) must not depend on the points asked with it
+            total = np.einsum("...j,j->...", vals, _WEIGHTS01)
             # an empty interval contributes nothing, even at a singular anchor
-            return np.where(width == 0.0, 0.0, width * (vals @ _WEIGHTS01))
+            return np.where(width == 0.0, 0.0, width * total)
 
     def at_v(self, v):
         """Psi at y(v) (vectorized)."""
@@ -320,9 +354,11 @@ class Psi:
         return v
 
     def radius(self, s):
-        """The profile p(s): Psi(p) = log(1/s); exactly Q at s = 1."""
+        """The profile p(s): Psi(p) = log(1/s); exactly Q at s = 1.  Each
+        distinct radius is solved once."""
         target = -np.log(np.asarray(s, dtype=float))
-        p = self.y_of_v(self.v_of_log(target)).reshape(np.shape(target))
+        distinct, where = np.unique(target, return_inverse=True)
+        p = self.y_of_v(self.v_of_log(distinct))[where].reshape(target.shape)
         p = np.where(target <= 0.0, self.Q, p)
         return float(p) if p.ndim == 0 else p
 
@@ -361,7 +397,7 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
     """exp(-mu(c0)): domain annuli with r below this admit no radial
     minimizer.  Returns 0.0 when the critical modulus diverges (every
     domain annulus is then feasible)."""
-    critical = _critical_info(metric, q, Q)
+    critical = _kept_root(metric, q, Q)[0] or _critical_info(metric, q, Q)
     try:
         return math.exp(-Psi(metric, q, Q, critical[1],
                              critical=critical).total)
@@ -386,10 +422,22 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     linear for large c, where mu ~ 1/sqrt(c).
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
+    critical = _kept_root(metric, q, Q)[0] or _critical_info(metric, q, Q)
+    c, psi = _root(spec, config, critical)
+    kept = _KEPT_ROOT.get()
+    if kept is not None:
+        kept[:] = (metric, q, Q), critical, psi
+    return c
+
+
+def _root(spec: ProblemSpec, config: SolverConfig,
+          critical: tuple[float, float]) -> tuple[float, Psi | None]:
+    """solve_c's root c and the Psi table it built at c (None where it
+    returns c0 without one)."""
+    metric, q, Q = spec.metric, spec.q, spec.Q
     target = math.log(1.0 / spec.r)
-    critical = _critical_info(metric, q, Q)
     c_crit = critical[1]
-    latest = [math.nan, math.nan]
+    latest = [math.nan, math.nan, None]
 
     def modulus(c):
         """mu(c) and its Psi table, or (+inf, None) where Psi reports the
@@ -412,12 +460,12 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
 
     def miss_at(x):
         mu, psi = modulus(c_crit + x * x)
-        latest[:] = x, mu
+        latest[:] = x, mu, psi
         return miss(mu, psi, x)
 
     mu0, psi0 = modulus(0.0)
     if abs(mu0 - target) <= config.tol_c:
-        return 0.0
+        return 0.0, psi0
     x0 = math.sqrt(-c_crit)
     end0 = miss(mu0, psi0, x0)
     if target < mu0:
@@ -437,7 +485,7 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
                 raise NoConvergence("could not bracket c upward")
             lo, f_lo, hi = hi, f_hi, beyond(hi, f_hi)
     else:
-        mu_max = modulus(c_crit)[0]
+        mu_max, psi_max = modulus(c_crit)
         if target > mu_max + config.tol_c:
             raise BelowCritical(
                 f"domain modulus {target:.12g} exceeds the critical modulus "
@@ -446,24 +494,25 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
                 critical_r=math.exp(-mu_max),
             )
         if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
-            return c_crit
+            return c_crit, psi_max
         # closer to c0 than this c-space cannot resolve the root (the collar)
         lo = math.sqrt(max(1e-12, 1e-12 * abs(c_crit)))
         f_lo = miss_at(lo)
         if f_lo[0] <= 0.0:
-            return c_crit
+            return c_crit, None
         hi, f_hi = x0, end0
     # the bracket may shrink to a few ulps of x, where c-space ends
     x = find_root_bracketed(miss_at, lo, hi, 0.5 * config.tol_c,
                             xtol=4.0 * _EPS * hi, f_lo=f_lo, f_hi=f_hi)
     c = c_crit + x * x
-    gap = (latest[1] if x == latest[0] else modulus(c)[0]) - target
+    mu, psi = latest[1:] if x == latest[0] else modulus(c)
+    gap = mu - target
     if not abs(gap) <= config.tol_c:
         error = DivergentModulus if math.isinf(gap) else NoConvergence
         raise error(
             f"modulus equation unsolved: mu(c) - log(1/r) = {gap:.3g} at "
             f"c - c_crit = {c - c_crit:.3g}")
-    return c
+    return c, psi
 
 
 def _classify(c: float, c_crit: float, tol_c: float) -> str:
@@ -493,6 +542,16 @@ class MinimizerProfile:
     spec: ProblemSpec
     critical_c: float
 
+    @cached_property
+    def inner_v(self) -> float:
+        """v at s = r, where p(r) = y(v): solved once per profile."""
+        return float(self.psi.v_of_log(-np.log(self.spec.r))[0])
+
+    @property
+    def inner(self) -> float:
+        """p(r), which meets q for a solved c."""
+        return float(self.psi.y_of_v(self.inner_v))
+
     def profile(self, s):
         """p(s), scalar or array."""
         return self.psi.radius(s)
@@ -515,26 +574,29 @@ def build_profile(
 
     Raises ProfileMismatch when p(r), the solution of Psi(p) = log(1/r),
     misses q by more than 1e-6 Q: the supplied (q, Q, r, c) are then
-    inconsistent.
+    inconsistent.  Inside a _sharing_roots() block the Psi table that
+    solve_c built at this c is reused.
     """
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    psi = Psi(metric, q, Q, c)
-    inner = psi.radius(r)
-    mismatch = abs(inner - q)
-    if mismatch > 1e-6 * Q:
-        raise ProfileMismatch(
-            f"profile reached p(r)={inner:.12g}, expected q={q:.12g} "
-            f"(off by {mismatch:.3g}); modulus gap Psi(q) - log(1/r) = "
-            f"{psi.total - math.log(1.0 / r):.3g} at c - c_crit = "
-            f"{c - psi.critical_c:.3g}; (q, Q, r, c) are inconsistent"
-        )
-    return MinimizerProfile(
+    critical, psi = _kept_root(metric, q, Q)
+    if psi is None or psi.c != c:
+        psi = Psi(metric, q, Q, c, critical)
+    profile = MinimizerProfile(
         c=c,
         psi=psi,
         classification=_classify(c, psi.critical_c, config.tol_c),
         spec=spec,
         critical_c=psi.critical_c,
     )
+    mismatch = abs(profile.inner - q)
+    if mismatch > 1e-6 * Q:
+        raise ProfileMismatch(
+            f"profile reached p(r)={profile.inner:.12g}, expected q={q:.12g} "
+            f"(off by {mismatch:.3g}); modulus gap Psi(q) - log(1/r) = "
+            f"{psi.total - math.log(1.0 / r):.3g} at c - c_crit = "
+            f"{c - psi.critical_c:.3g}; (q, Q, r, c) are inconsistent"
+        )
+    return profile
 
 
 def euclidean_nitsche_map(r: float) -> MinimizerProfile:

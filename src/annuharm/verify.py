@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .solver import (
     MinimizerProfile,
     ProblemSpec,
     SolverConfig,
+    _sharing_roots,
     build_profile,
     solve_c,
 )
@@ -107,10 +109,21 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _stencil_points(profile: MinimizerProfile, h: float, n_s: int = 16,
-                    n_t: int = 32) -> np.ndarray:
-    """Interior grid points whose full +/-h stencils stay inside the
-    annulus, stacked as (5, N): center, +h, -h, +ih, -ih."""
+class _Stencil(NamedTuple):
+    """The stencil field of one step h: interior grid points whose full
+    +/-h stencils stay inside the annulus, stacked as (5, N) (center, +h,
+    -h, +ih, -ih), their radii s and the profile p(s) there."""
+
+    h: float
+    z: np.ndarray
+    s: np.ndarray
+    p: np.ndarray
+
+
+def _stencil(profile: MinimizerProfile, h: float, n_s: int = 16,
+             n_t: int = 32) -> _Stencil:
+    """The stencil field of step h on an interior n_s x n_t grid, with the
+    profile solved once for both residual kernels."""
     r = profile.spec.r
     lo, hi = r + 2.0 * h, 1.0 - 2.0 * h
     if not lo < hi:
@@ -120,7 +133,9 @@ def _stencil_points(profile: MinimizerProfile, h: float, n_s: int = 16,
     s = np.linspace(lo, hi, n_s)
     t = 2.0 * math.pi * np.arange(n_t) / n_t
     z = (s[:, None] * np.exp(1j * t)[None, :]).ravel()
-    return np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
+    pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
+    radii = np.abs(pts)
+    return _Stencil(h, pts, radii, profile.profile(radii))
 
 
 def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> float:
@@ -133,10 +148,12 @@ def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> f
     first integral to rounding accuracy, so the result is pure stencil
     truncation error (second order in h).
     """
-    pts = _stencil_points(profile, h)
-    radii = np.abs(pts)
-    p = profile.profile(radii)
-    w = p * pts / radii
+    return _pde_residual(_stencil(profile, h), metric)
+
+
+def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> float:
+    h = stencil.h
+    w = stencil.p * stencil.z / stencil.s
 
     center = w[0]
     h_zzb = (w[1] + w[2] + w[3] + w[4] - 4.0 * center) / (4.0 * h * h)
@@ -157,10 +174,14 @@ def general_harmonic_residual(
     """Max modulus of the finite-difference d/dzbar of the sampled field
     rho(w) w_z conj(w_zbar); identically zero for a solved profile, whose
     field is the meromorphic c/(4 z^2)."""
-    pts = _stencil_points(profile, h)
-    s = np.abs(pts)
-    hopf = _columns(profile, metric, s, pts / s).hopf
-    d_zbar = ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * h)
+    return _general_harmonic_residual(profile, _stencil(profile, h), metric)
+
+
+def _general_harmonic_residual(profile: MinimizerProfile, stencil: _Stencil,
+                               metric: RadialMetric) -> float:
+    s = stencil.s
+    hopf = _columns(profile, metric, s, stencil.z / s, stencil.p).hopf
+    d_zbar = ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * stencil.h)
     return float(np.max(np.abs(d_zbar)))
 
 
@@ -180,13 +201,20 @@ def _hopf_record(c: float, quotient: np.ndarray, tol: float) -> CheckRecord:
     )
 
 
-def _sine_bump(rng, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Random 3-term sine series vanishing at both ends, sup-normalized;
-    returns (phi, phi') on the unit grid x in [0, 1]."""
-    coeffs = rng.normal(size=3)
+def _sine_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k pi, sin(k pi x), cos(k pi x)) for k = 1, 2, 3 on the unit grid x,
+    one row per k."""
     k = np.arange(1, 4)[:, None] * math.pi
-    phi = np.sum(coeffs[:, None] * np.sin(k * x[None, :]), axis=0)
-    dphi = np.sum(coeffs[:, None] * k * np.cos(k * x[None, :]), axis=0)
+    return k, np.sin(k * x[None, :]), np.cos(k * x[None, :])
+
+
+def _sine_bump(rng, basis) -> tuple[np.ndarray, np.ndarray]:
+    """Random 3-term sine series vanishing at both ends, sup-normalized;
+    returns (phi, phi') on the unit grid of the _sine_basis."""
+    k, sines, cosines = basis
+    coeffs = rng.normal(size=3)
+    phi = np.sum(coeffs[:, None] * sines, axis=0)
+    dphi = np.sum(coeffs[:, None] * k * cosines, axis=0)
     scale = np.max(np.abs(phi))
     return phi / scale, dphi / scale
 
@@ -218,7 +246,7 @@ def minimality_probe(
     spec = profile.spec
     r = spec.r
     s = np.linspace(r, 1.0, 4097)
-    x = (s - r) / (1.0 - r)
+    basis = _sine_basis((s - r) / (1.0 - r))
     p0 = profile.profile(s)
     dp0 = profile.psi.slope(s, p0)
     lo, hi = metric.valid_interval
@@ -237,7 +265,7 @@ def minimality_probe(
                     "could not keep the perturbed profile inside "
                     f"{metric.valid_interval} after 100 retries"
                 )
-            phi, dphi = _sine_bump(rng, x)
+            phi, dphi = _sine_bump(rng, basis)
             dphi = dphi / (1.0 - r)  # chain rule from unit grid to s
             trial = p0 + eps * phi
             if np.all(trial > lo) and np.all(trial < hi) and np.all(trial > 0.0):
@@ -339,22 +367,23 @@ def run_full_suite(
     if check_tol is None:
         check_tol = config.tol_c
     report = VerificationReport()
-    try:
-        c = solve_c(spec, config)
-    except BelowCritical as exc:
-        report.checks.append(
-            CheckRecord(
-                name="solvable_configuration",
-                measured=1.0,
-                tolerance=0.0,
-                passed=False,
-                detail=f"below critical: critical_r={exc.critical_r:.12g}, "
-                       f"critical_c={exc.critical_c:.12g}",
+    # the profile is read from the Psi table solve_c built at its root
+    with _sharing_roots():
+        try:
+            c = solve_c(spec, config)
+        except BelowCritical as exc:
+            report.checks.append(
+                CheckRecord(
+                    name="solvable_configuration",
+                    measured=1.0,
+                    tolerance=0.0,
+                    passed=False,
+                    detail=f"below critical: critical_r={exc.critical_r:.12g}, "
+                           f"critical_c={exc.critical_c:.12g}",
+                )
             )
-        )
-        return report
-
-    profile = build_profile(spec, c, config)
+            return report
+        profile = build_profile(spec, c, config)
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
     report.checks.append(
         CheckRecord.measure("solvable_configuration", 0.0, 0.0,
@@ -364,7 +393,7 @@ def run_full_suite(
     # profile endpoint and inverse round trip
     report.checks.append(
         CheckRecord.measure(
-            "profile_inner_endpoint", abs(profile.profile(r) - q), 1e-6 * Q,
+            "profile_inner_endpoint", abs(profile.inner - q), 1e-6 * Q,
             "p(r) must meet the inner target radius",
         )
     )
@@ -398,10 +427,11 @@ def run_full_suite(
         )
     )
 
-    # PDE residuals with order-of-convergence checks
+    # PDE residuals with order-of-convergence checks, both read from one
+    # stencil field per step
     h = min(1e-3, (1.0 - r) / 32.0)
-    res_pde = pde_residual(profile, metric, h)
-    res_pde_half = pde_residual(profile, metric, h / 2.0)
+    steps = _stencil(profile, h), _stencil(profile, h / 2.0)
+    res_pde, res_pde_half = (_pde_residual(step, metric) for step in steps)
     report.checks.append(
         CheckRecord.measure("pde_residual", res_pde, 5e-4,
                             f"max |tau| at h={h:g}")
@@ -409,8 +439,8 @@ def run_full_suite(
     report.checks.append(
         _residual_order_record("pde_residual", res_pde, res_pde_half, h)
     )
-    res_gen = general_harmonic_residual(profile, metric, h)
-    res_gen_half = general_harmonic_residual(profile, metric, h / 2.0)
+    res_gen, res_gen_half = (_general_harmonic_residual(profile, step, metric)
+                             for step in steps)
     report.checks.append(
         CheckRecord.measure("general_harmonic_residual", res_gen, 5e-4,
                             f"max |d/dzbar of the field| at h={h:g}")

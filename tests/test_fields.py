@@ -159,6 +159,32 @@ class TestLipschitzConstant:
         _, inf_lo = lipschitz_constant(euclid_expanding, EUCLID)
         assert inf_lo >= 0.8 - 1e-9
 
+    @pytest.mark.parametrize("fixture", ["euclid_critical", "euclid_expanding",
+                                         "sphere_expanding",
+                                         "inverse_r_expanding"])
+    def test_joint_zoom_matches_separate_zooms(self, fixture, request):
+        # the sup and inf zooms are evaluated together; each must still be
+        # bitwise its own seven 33-point zooms from the 2048-point scan
+        prof = request.getfixturevalue(fixture)
+        psi = prof.psi
+
+        def stretches(v):
+            p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
+            return p / s, psi.slope(s, p)
+
+        def zoom_max(f):
+            x = np.linspace(prof.inner_v, psi.edges[-1], 2048)
+            y = f(x)
+            for _ in range(7):
+                k = int(np.argmax(y))
+                x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
+                y = f(x)
+            return float(np.max(y))
+
+        sup_op = zoom_max(lambda v: np.maximum(*stretches(v)))
+        inf_lo = -zoom_max(lambda v: -np.minimum(*stretches(v)))
+        assert lipschitz_constant(prof, prof.spec.metric) == (sup_op, inf_lo)
+
 
 class TestKKConstants:
     def test_conformal(self, euclid_conformal):

@@ -1,7 +1,9 @@
 """The modulus equation mu(c) = log(1/r): its residual stop, the work one
 solve costs, and the quadrature of mu next to the critical constant."""
 
+import io
 import math
+from contextlib import redirect_stdout
 
 import mpmath
 import pytest
@@ -24,6 +26,7 @@ from annuharm import (
     run_full_suite,
     solve_c,
 )
+from annuharm.cli import main
 from annuharm.solver import Psi
 
 # the twelve acceptance configurations (metric, q, Q, r)
@@ -73,6 +76,36 @@ class TestWork:
         assert report.all_passed
         assert counts["solve"] == 1
         assert "modulus_sign_r=0.7" in [check.name for check in report.checks]
+
+    @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+    def test_suite_reads_profile_from_root(self, counts, name, q, Q, r):
+        # the suite's profile is the Psi table solve_c built at its root: no
+        # second critical scan, no second table
+        spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
+        solve_c(spec)
+        builds = counts["psi"]
+        counts.update(critical=0, psi=0)
+        assert run_full_suite(spec).all_passed
+        assert counts == {"critical": 1, "psi": builds, "solve": 1}
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ["--r", "0.7"]),
+        ("eval", ["--r", "0.7", "--grid_s", "4", "--grid_t", "4"]),
+        ("verify", ["--r", "0.7"]),
+        ("sweep", ["--r_min", "0.6", "--r_max", "0.7", "--r_steps", "2"]),
+    ])
+    def test_cli_scans_critical_data_once(self, counts, command, extra):
+        spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.7)
+        solve_c(spec)
+        builds = counts["psi"]
+        counts.update(critical=0, psi=0)
+        args = [command, "--metric", "sphere", "--q", "0.5", "--Q", "1", *extra]
+        with redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        assert counts["critical"] == 1
+        # solve adds the table of critical_inner_radius at c0
+        expected = {"solve": builds + 1, "eval": builds, "verify": builds}
+        assert counts["psi"] == expected.get(command, counts["psi"])
 
 
 def test_residual_stop_near_critical():

@@ -18,10 +18,12 @@ from annuharm import (
     critical_constant,
     energy,
     euclidean_nitsche_map,
+    lipschitz_constant,
     modulus_of_c,
     parse_metric,
     solve_c,
 )
+from annuharm.solver import Psi
 
 EUCLID = parse_metric("euclidean")
 
@@ -65,6 +67,50 @@ def test_inverse_round_trip(name, q, Q, r):
     prof = build_profile(spec, solve_c(spec))
     s = np.linspace(r, 1.0, 100)
     assert np.max(np.abs(prof.inverse(prof.profile(s)) - s)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+def test_profile_independent_of_batch(name, q, Q, r):
+    # p(s) at a point must not depend on the points asked with it: a BLAS
+    # product in the Gauss rule rounded each row by its place in the batch
+    spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
+    prof = build_profile(spec, solve_c(spec))
+    s = np.linspace(r, 1.0, 97)
+    alone = np.array([prof.profile(float(x)) for x in s])
+    assert np.array_equal(prof.profile(s), alone)
+    assert np.array_equal(prof.profile(s[::-1]), alone[::-1])
+
+
+def test_profile_solves_each_radius_once(monkeypatch):
+    spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.7)
+    prof = build_profile(spec, solve_c(spec))
+    s = np.linspace(0.7, 1.0, 33)
+    expected = prof.profile(s)
+    sizes = []
+    v_of_log = Psi.v_of_log
+    monkeypatch.setattr(Psi, "v_of_log", lambda self, target: (
+        sizes.append(np.size(target)), v_of_log(self, target))[1])
+    repeated = np.stack([s, s[::-1], s])
+    assert np.array_equal(prof.profile(repeated), np.stack(
+        [expected, expected[::-1], expected]))
+    assert sizes == [33]
+
+
+def test_inner_radius_solved_once(monkeypatch):
+    # build_profile's mismatch check, energy and lipschitz_constant all read
+    # v at s = r from the profile, which solves it once
+    targets = []
+    v_of_log = Psi.v_of_log
+    monkeypatch.setattr(Psi, "v_of_log", lambda self, target: (
+        targets.append(np.asarray(target, dtype=float).ravel()),
+        v_of_log(self, target))[1])
+    spec = ProblemSpec(metric=parse_metric("inverse_r"), q=0.5, Q=1.0, r=0.45)
+    prof = build_profile(spec, solve_c(spec))
+    energy(prof, spec.metric)
+    lipschitz_constant(prof, spec.metric)
+    assert [t for t in targets if np.any(t == -np.log(spec.r))] == [
+        np.array([-np.log(spec.r)])]
+    assert prof.inner == prof.profile(spec.r)
 
 
 def test_profile_mismatch_reports_its_source():

@@ -12,6 +12,7 @@ from annuharm import (
     ProblemSpec,
     RadialMetric,
     StencilOutOfDomain,
+    build_profile,
     general_harmonic_residual,
     hopf_constancy_check,
     minimality_probe,
@@ -19,10 +20,24 @@ from annuharm import (
     parse_metric,
     pde_residual,
     run_full_suite,
+    solve_c,
 )
+from annuharm import verify
+from annuharm.solver import Psi
+from annuharm.verify import _residual_order_record, _sine_basis, _sine_bump
 
 EUCLID = parse_metric("euclidean")
 SPHERE = parse_metric("sphere")
+
+# the twelve acceptance configurations (metric, q, Q, r)
+TWELVE_CONFIGS = [
+    ("euclidean", 0.8, 1.0, 0.5), ("euclidean", 0.8, 1.0, 0.9),
+    ("inverse_r", 0.5, 1.0, 0.589), ("inverse_r", 0.5, 1.0, 0.45),
+    ("sphere", 0.5, 1.0, 0.7), ("sphere", 0.5, 1.0, 0.4),
+    ("euclidean", 0.8, 1.0, 0.8), ("euclidean", 0.8, 1.0, 0.6),
+    ("inverse_r", 0.5, 1.0, 0.5), ("sphere", 0.5, 1.0, 0.5),
+    ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
+]
 
 
 class TestPdeResidual:
@@ -98,6 +113,23 @@ class TestMinimalityProbe:
         base = 2.0 * math.pi * float(simpson(integrand, x=s))
         again = 2.0 * math.pi * float(simpson(integrand, x=s))
         assert again - base == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_bump_matches_direct_series(self, seed):
+        # the probe builds sin(k pi x) and cos(k pi x) once; each bump must
+        # still be bitwise the series summed directly
+        x = np.linspace(0.0, 1.0, 4097)
+        basis = _sine_basis(x)
+        rng, direct = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            coeffs = direct.normal(size=3)
+            k = np.arange(1, 4)[:, None] * math.pi
+            phi = np.sum(coeffs[:, None] * np.sin(k * x[None, :]), axis=0)
+            dphi = np.sum(coeffs[:, None] * k * np.cos(k * x[None, :]), axis=0)
+            scale = np.max(np.abs(phi))
+            got_phi, got_dphi = _sine_bump(rng, basis)
+            assert np.array_equal(got_phi, phi / scale)
+            assert np.array_equal(got_dphi, dphi / scale)
 
     def test_deterministic(self, euclid_critical):
         a = minimality_probe(euclid_critical, EUCLID, 5, 1e-2, seed=7).to_json()
@@ -176,3 +208,46 @@ class TestRunFullSuite:
             report = run_full_suite(spec)
             failed = [c.name for c in report.checks if not c.passed]
             assert report.all_passed, f"{metric_name} r={r}: {failed}"
+
+
+class TestSuiteStencils:
+    @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+    def test_residuals_match_public_functions(self, name, q, Q, r):
+        # the suite reads both residuals from one stencil field per step;
+        # its entries must be bitwise those of the public functions
+        metric = parse_metric(name)
+        spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
+        report = run_full_suite(spec)
+        prof = build_profile(spec, solve_c(spec))
+        h = min(1e-3, (1.0 - r) / 32.0)
+        for check, residual in (("pde_residual", pde_residual),
+                                ("general_harmonic_residual",
+                                 general_harmonic_residual)):
+            at_h = residual(prof, metric, h)
+            at_half = residual(prof, metric, h / 2.0)
+            assert report[check].measured == at_h
+            assert report[f"{check}_order"] == _residual_order_record(
+                check, at_h, at_half, h)
+
+    def test_stencil_radii_solved_once(self, monkeypatch):
+        solved, steps = [], []
+        v_of_log, stencil = Psi.v_of_log, verify._stencil
+
+        def counted_v_of_log(self, target):
+            solved.append(np.size(target))
+            return v_of_log(self, target)
+
+        def counted_stencil(profile, h):
+            solved.clear()
+            step = stencil(profile, h)
+            steps.append((step, sum(solved)))
+            return step
+
+        monkeypatch.setattr(Psi, "v_of_log", counted_v_of_log)
+        monkeypatch.setattr(verify, "_stencil", counted_stencil)
+        spec = ProblemSpec(metric=SPHERE, q=0.5, Q=1.0, r=0.7)
+        assert run_full_suite(spec).all_passed
+        assert len(steps) == 2
+        for step, points in steps:
+            assert step.s.size == 5 * 16 * 32
+            assert 0 < points <= np.unique(step.s).size < step.s.size
