@@ -75,6 +75,14 @@ def _cell(value) -> str:
     return format(float(value) + 0.0, ".17g")
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a positive finite float."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"need 0 < tol < inf, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="annuharm",
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         if need_r:
             p.add_argument("--r", type=float, required=True,
                            help="domain inner radius (outer normalized to 1)")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=_tolerance, default=1e-9,
                        help="classification / check tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=42,
                        help="seed for randomized checks (default 42)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OutOfAnnulus
 from .metrics import RadialMetric
-from .numerics import minimize_scalar
+from .numerics import _zoom, minimize_scalar
 from .solver import MinimizerProfile
 
 __all__ = [
@@ -164,25 +164,19 @@ def lipschitz_constant(
     psi = profile.psi
 
     def extremes(v):
-        """(max, -min) of (p/s, p') at y(v)."""
+        """(-max, min) of (p/s, p') at y(v)."""
         p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
         tangential, dp = p / s, psi.slope(s, p)
-        return np.maximum(tangential, dp), -np.minimum(tangential, dp)
+        return -np.maximum(tangential, dp), np.minimum(tangential, dp)
 
     scan = np.linspace(profile.inner_v, psi.edges[-1], 2048)
     xs, ys = (scan, scan), extremes(scan)
     for _ in range(7):
         xs = [_zoom(x, y) for x, y in zip(xs, ys)]
-        sup_op, neg_inf = extremes(np.concatenate(xs))
+        neg_sup, inf_lo = extremes(np.concatenate(xs))
         n = xs[0].size
-        ys = sup_op[:n], neg_inf[n:]
-    return float(np.max(ys[0])), -float(np.max(ys[1]))
-
-
-def _zoom(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """33 points across the neighbours of the scan winner argmax y."""
-    k = int(np.argmax(y))
-    return np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
+        ys = neg_sup[:n], inf_lo[n:]
+    return -float(np.min(ys[0])), float(np.min(ys[1]))
 
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:

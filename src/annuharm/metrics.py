@@ -26,7 +26,7 @@ __all__ = [
     "admissibility_report",
 ]
 
-_SUP_TOL = 1e-12  # golden-section width for sup/inf refinement
+_SUP_TOL = 1e-12  # grid step of the last zoom scan for sup/inf refinement
 _AREA_TOL = 1e-11
 
 # validity interval of the hyperbolic density stops just short of the unit
@@ -174,6 +174,8 @@ def _check_point(metric: RadialMetric, y: float) -> None:
 
 
 def _check_interval(metric: RadialMetric, q: float, Q: float) -> None:
+    if not (math.isfinite(q) and math.isfinite(Q)):
+        raise OutOfDomain(f"need finite radii, got q={q}, Q={Q}")
     if not q < Q:
         raise OutOfDomain(f"need q < Q, got q={q}, Q={Q}")
     if not metric.contains(q, Q):

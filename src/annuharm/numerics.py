@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 Adaptive quadrature with integrable-endpoint handling, bracketed root
-finding and scalar minimization by scan + golden section.  Tolerances are
+finding and scalar minimization by a scan and zoom scans.  Tolerances are
 absolute-error targets; every routine either meets its target, stops at the
 rounding floor of its integrand, or raises.
 """
@@ -50,30 +50,12 @@ class _ArrayFunc:
         out = np.array([self._f(float(v)) for v in x.ravel()], dtype=float)
         return out.reshape(x.shape)
 
-    def probe(self, x: float) -> float:
-        """Single-point evaluation that maps arithmetic blowups to +inf."""
-        try:
-            return float(self._f(float(x)))
-        except (ZeroDivisionError, OverflowError, FloatingPointError, ValueError):
-            return math.inf
-        except TypeError:
-            try:
-                return float(self(np.asarray([x]))[0])
-            except (ZeroDivisionError, OverflowError, FloatingPointError,
-                    ValueError):
-                return math.inf
-
 
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 1_000_000
 _SINGULAR_OFFSET = 1e-12
-_SINGULAR_MAGNITUDE = 1e6
-# growth of the integrand toward an endpoint relative to the interior that
-# also flags a singularity (catches integrable 1/sqrt blowups whose probe
-# value stays just under the absolute threshold)
-_SINGULAR_GROWTH = 1e4
 
 
 # both rules' nodes: the integrand's call overhead dominates small panels,
@@ -167,17 +149,19 @@ def _adaptive_core(
     return total, panels[np.argsort(panels[:, 0])]
 
 
-def _divergence_guard(F: _ArrayFunc, endpoint: float, inward: float) -> None:
+def _divergence_guard(g: Callable, endpoint: float, inward: float) -> None:
     """Reject endpoint singularities stronger than an integrable 1/sqrt.
 
-    Checks the substitution-transformed integrand g(u) = 2 u f(endpoint +/-
-    u^2) just off the endpoint; the probe offset is widened only as far as
-    floating-point representability of endpoint + u^2 requires, keeping the
-    acceptance threshold scale-equivalent to |g(1e-12)| <= 1e12.
+    g is the integrand after the substitution y = endpoint + inward u^2,
+    such as g(u) = 2 u f(endpoint + inward u^2), and is checked at inward
+    u for an offset u just off the endpoint.  The offset is widened only as
+    far as floating-point representability of endpoint + u^2 requires,
+    keeping the acceptance threshold scale-equivalent to |g(1e-12)| <= 1e12.
     """
     u = max(_SINGULAR_OFFSET, math.sqrt(100.0 * _EPS * max(abs(endpoint), 1.0)))
-    g = 2.0 * u * F.probe(endpoint + inward * u * u)
-    if not np.isfinite(g) or abs(g) > 1.0 / u:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = float(g(np.array([inward * u]))[0])
+    if not abs(value) <= 1.0 / u:
         raise DivergentIntegral(
             f"endpoint singularity at {endpoint} is not integrable"
         )
@@ -185,27 +169,21 @@ def _divergence_guard(F: _ArrayFunc, endpoint: float, inward: float) -> None:
 
 def _integrate_singular(F: _ArrayFunc, endpoint: float, inward: float,
                         span: float, tol: float) -> float:
-    """Integral over the span next to a singular endpoint, by y = endpoint
-    +/- u^2 (inward = +1 for the left end, -1 for the right one)."""
-    _divergence_guard(F, endpoint, inward)
+    """Integral over the span next to an endpoint, by y = endpoint +/- u^2
+    (inward = +1 for the left end, -1 for the right one)."""
     transformed = _ArrayFunc(lambda u: 2.0 * u * F(endpoint + inward * u * u))
+    _divergence_guard(transformed, endpoint, 1.0)
     return _adaptive_core(transformed, 0.0, math.sqrt(span), tol)[0]
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    singular_left: bool | None = None,
-    singular_right: bool | None = None,
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> float:
     """Integrate f over [a, b] to absolute error tol.
 
-    Endpoint singularities of integrable 1/sqrt type are detected
-    automatically (or forced via the keyword flags) and removed by the
-    substitution y = a + u^2 (resp. y = b - u^2).
+    Each half of [a, b] is integrated after the substitution y = a + u^2
+    (resp. y = b - u^2), which is smooth for a smooth f and removes an
+    integrable 1/sqrt singularity at either endpoint.
 
     Raises NoConvergence when the panel budget is exhausted and
     DivergentIntegral when an endpoint blowup is too strong to integrate.
@@ -215,37 +193,9 @@ def integrate_adaptive(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     F = _ArrayFunc(f)
-    span = b - a
-
-    if singular_left is None or singular_right is None:
-        interior = max(
-            1.0,
-            abs(F.probe(a + 0.25 * span)),
-            abs(F.probe(a + 0.5 * span)),
-            abs(F.probe(b - 0.25 * span)),
-        )
-
-        def looks_singular(value: float) -> bool:
-            return (
-                not np.isfinite(value)
-                or abs(value) > _SINGULAR_MAGNITUDE
-                or abs(value) > _SINGULAR_GROWTH * interior
-            )
-
-        if singular_left is None:
-            singular_left = looks_singular(F.probe(a + _SINGULAR_OFFSET))
-        if singular_right is None:
-            singular_right = looks_singular(F.probe(b - _SINGULAR_OFFSET))
-
-    if singular_left and singular_right:
-        mid = 0.5 * (a + b)
-        return _integrate_singular(F, a, 1.0, mid - a, 0.5 * tol) + \
-            _integrate_singular(F, b, -1.0, b - mid, 0.5 * tol)
-    if singular_left:
-        return _integrate_singular(F, a, 1.0, span, tol)
-    if singular_right:
-        return _integrate_singular(F, b, -1.0, span, tol)
-    return _adaptive_core(F, a, b, tol)[0]
+    mid = 0.5 * (a + b)
+    return _integrate_singular(F, a, 1.0, mid - a, 0.5 * tol) + \
+        _integrate_singular(F, b, -1.0, b - mid, 0.5 * tol)
 
 
 _Value = float | tuple[float, float]
@@ -313,49 +263,39 @@ def find_root_bracketed(
     return 0.5 * (lo + hi)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _winner(y: np.ndarray) -> int:
+    """nanargmin y; argmin is several times faster and lands on a nan only
+    when y has one."""
+    k = int(np.argmin(y))
+    return int(np.nanargmin(y)) if math.isnan(y[k]) else k
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section minimum of f on [lo, hi] to bracket width tol."""
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = float(f(x1))
-    f2 = float(f(x2))
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = float(f(x1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = float(f(x2))
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _zoom(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """33 points across the neighbours of the scan winner: the grid step
+    shrinks at least 16-fold."""
+    k = _winner(y)
+    return np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
 
 
 def minimize_scalar(
     f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
-    """Global-scan minimization on [a, b]: 1024-point scan, then golden
-    section around the scan winner.  Returns (argmin, min); endpoints are
-    always among the candidates.
+    """Global-scan minimization on [a, b]: a 1024-point scan, then 33-point
+    zoom scans around the latest winner until their grid step is at most
+    tol.  Returns (argmin, min) of the last scan; an endpoint stays on every
+    scan that zooms in on it.
     """
-    if b < a:
-        raise ValueError("need a <= b")
+    if not (np.isfinite(a) and np.isfinite(b)) or b < a:
+        raise ValueError(f"need finite a <= b, got [{a}, {b}]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     if b == a:
         return a, float(f(a))
     F = _ArrayFunc(f)
     xs = np.linspace(a, b, 1024)
     ys = F(xs)
-    i = int(np.nanargmin(ys))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    gx, gy = _golden_section(lambda x: float(F(np.asarray([x]))[0]), lo, hi, tol)
-    best_x, best_y = gx, gy
-    for cx, cy in ((float(xs[i]), float(ys[i])), (a, float(ys[0])), (b, float(ys[-1]))):
-        if cy < best_y:
-            best_x, best_y = cx, cy
-    return best_x, best_y
+    while xs[1] - xs[0] > tol:
+        xs = _zoom(xs, ys)
+        ys = F(xs)
+    k = _winner(ys)
+    return float(xs[k]), float(ys[k])

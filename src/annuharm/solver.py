@@ -34,12 +34,11 @@ from .errors import (
     OutOfDomain,
     ProfileMismatch,
 )
-from .metrics import RadialMetric, parse_metric
+from .metrics import RadialMetric, _check_interval, parse_metric
 from .numerics import (
     _EPS,
     _GAUSS_HI,
     _adaptive_core,
-    _ArrayFunc,
     _divergence_guard,
     find_root_bracketed,
     minimize_scalar,
@@ -73,6 +72,8 @@ _MODULUS_TOL = 1e-11
 # integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
 _NEWTON_STEPS = 60
+# the smallest normal float
+_TINY = np.finfo(float).tiny
 _KNOTS = 256
 # 15-point Gauss-Legendre rule on [0, 1], the fine rule of the panels
 _NODES01 = 0.5 * (_GAUSS_HI[0] + 1.0)
@@ -96,11 +97,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.q < self.Q:
             raise ValueError(f"need 0 < q < Q, got q={self.q}, Q={self.Q}")
-        if not self.metric.contains(self.q, self.Q):
-            raise OutOfDomain(
-                f"target radii [{self.q}, {self.Q}] outside validity interval "
-                f"{self.metric.valid_interval} of metric {self.metric.name!r}"
-            )
+        _check_interval(self.metric, self.q, self.Q)
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"need 0 < r < 1, got r={self.r}")
 
@@ -114,8 +111,8 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.tol_c <= 0.0:
-            raise ValueError("tol_c must be positive")
+        if not 0.0 < self.tol_c < math.inf:
+            raise ValueError(f"tol_c must be positive and finite, got {self.tol_c}")
 
 
 def _weight(metric: RadialMetric, y):
@@ -123,14 +120,24 @@ def _weight(metric: RadialMetric, y):
 
 
 def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
-    """(argmin, -min) of y^2 rho(y) on [q, Q]."""
-    if not q < Q:
-        raise OutOfDomain(f"need q < Q, got q={q}, Q={Q}")
-    if not metric.contains(q, Q):
-        raise OutOfDomain(
-            f"[{q}, {Q}] outside validity interval of metric {metric.name!r}"
-        )
-    y_star, w_min = minimize_scalar(lambda y: _weight(metric, y), q, Q, 1e-13)
+    """(argmin, -min) of y^2 rho(y) on [q, Q].
+
+    Raises OutOfDomain where y^2 rho(y) at a scanned point is not a normal
+    float: an infinite or subnormal weight leaves the modulus integrand
+    without the digits that resolve c."""
+    _check_interval(metric, q, Q)
+
+    def weight(y):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = _weight(metric, y)
+        if not np.all((w >= _TINY) & (w < math.inf)):
+            raise OutOfDomain(
+                f"y^2 rho(y) of metric {metric.name!r} leaves the normal floats "
+                f"on [{q}, {Q}]"
+            )
+        return w
+
+    y_star, w_min = minimize_scalar(weight, q, Q, 1e-13)
     return y_star, -w_min
 
 
@@ -218,8 +225,8 @@ class Psi:
         try:
             for lo, hi in pieces:
                 if near_critical:
-                    _divergence_guard(_ArrayFunc(self._integrand), anchor,
-                                      1.0 if lo == 0.0 else -1.0)
+                    # g(+-u) = 2u / sqrt(radicand(anchor +- u^2))
+                    _divergence_guard(self.g, anchor, 1.0 if lo == 0.0 else -1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     panels.append(_adaptive_core(
                         partial(self.g, noisy=True), lo, hi,
@@ -255,10 +262,6 @@ class Psi:
 
     def _radicand(self, y):
         return y * y + self.c / self.metric.eval(y)
-
-    def _integrand(self, y):
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.sqrt(np.maximum(self._radicand(y), 0.0))
 
     def g(self, v, noisy=False):
         """-dPsi/dv = 2|v| / sqrt(y^2 + c/rho(y)) at y = y(v), infinite (or

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -73,6 +74,25 @@ class TestSolve:
         out = run_cli("solve", "--metric", "nope", "--q", "0.8", "--Q", "1",
                       "--r", "0.5")
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("metric, Q", [
+        ("power:1100", "1"), ("power:1060", "1"), ("power:-2000", "1"),
+        ("euclidean", "inf")])
+    def test_unrepresentable_weight_usage_error(self, metric, Q):
+        start = time.perf_counter()
+        code, _ = run_main("solve", "--metric", metric, "--q", "0.5",
+                           "--Q", Q, "--r", "0.6")
+        assert code == 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command, tol", [
+        ("verify", "-1"), ("verify", "0"), ("solve", "inf"), ("solve", "nan")])
+    def test_bad_tolerance_usage_error(self, command, tol):
+        # --tol nan used to solve the Nitsche critical case as "Subcritical"
+        with pytest.raises(SystemExit) as info:
+            run_main(command, "--metric", "euclidean", "--q", "0.8", "--Q", "1",
+                     "--r", "0.5", "--tol", tol)
+        assert info.value.code == 1
 
     def test_numerical_failure_exit_code(self):
         # log(1/r) = 1e-9 needs c near 1e18, beyond the solver's 1e12 bracket

@@ -11,6 +11,7 @@ from annuharm import (
     find_root_bracketed,
     integrate_adaptive,
     minimize_scalar,
+    parse_metric,
 )
 from annuharm.numerics import _adaptive_core, _ArrayFunc
 
@@ -47,6 +48,11 @@ class TestIntegrateAdaptive:
     def test_scalar_only_callable(self):
         got = integrate_adaptive(lambda y: math.exp(y), 0.0, 1.0, 1e-10)
         assert abs(got - (math.e - 1.0)) <= 1e-9
+
+    def test_smooth_with_large_endpoint_value(self):
+        # 1/(y + 1e-7) is smooth on [0, 1] but 1e7 at the left end
+        got = integrate_adaptive(lambda y: 1.0 / (y + 1e-7), 0.0, 1.0, 1e-10)
+        assert abs(got - math.log1p(1e7)) <= 1e-9
 
     def test_divergent_endpoint(self):
         with pytest.raises(DivergentIntegral):
@@ -127,3 +133,28 @@ class TestMinimizeScalar:
     def test_linear(self):
         x, fx = minimize_scalar(lambda y: y * y * (1.0 / y), 0.5, 1.0, 1e-10)
         assert x == 0.5 and fx == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("name, q, Q", [
+        ("sphere", 0.5, 1.0), ("euclidean", 0.8, 1.0), ("power:4", 0.2105, 9.07),
+        ("power:-3", 0.3, 9.9), ("power:-2", 0.3, 9.9)])
+    def test_critical_scan_calls(self, name, q, Q):
+        # the critical constant's search: a scan and zoom scans, each one
+        # array call of y^2 rho(y), never a call on a single point
+        metric = parse_metric(name)
+        sizes = []
+
+        def weight(y):
+            sizes.append(np.size(y))
+            return y * y * metric.eval(y)
+
+        minimize_scalar(weight, q, Q, 1e-13)
+        assert len(sizes) <= 12
+        assert min(sizes) > 1
+
+    def test_minimum_inside_first_cell(self):
+        # the minimum lies between the scan's first two nodes; zooming on
+        # the winner a = 0 must still reach it to tol
+        x_min = 0.3 / 1023
+        x, fx = minimize_scalar(lambda y: (y - x_min) ** 2, 0.0, 1.0, 1e-12)
+        assert abs(x - x_min) <= 1e-12
+        assert fx <= 1e-24

@@ -2,6 +2,7 @@
 profile."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -265,3 +266,23 @@ class TestProblemSpecValidation:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_c=-1.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(tol_c=tol)
+
+
+# y^2 rho(y) underflows to 0 (power:1100), is subnormal (power:1060) or
+# overflows (power:-2000) at q = 0.5; Q = inf is no radius at all
+_UNREPRESENTABLE = [("power:1100", 1.0), ("power:1060", 1.0),
+                    ("power:-2000", 1.0), ("euclidean", math.inf)]
+
+
+@pytest.mark.parametrize("name, Q", _UNREPRESENTABLE)
+def test_unrepresentable_weight_out_of_domain(name, Q):
+    metric = parse_metric(name)
+    start = time.perf_counter()
+    with pytest.raises(OutOfDomain):
+        critical_constant(metric, 0.5, Q)
+    with pytest.raises(OutOfDomain):
+        solve_c(ProblemSpec(metric=metric, q=0.5, Q=Q, r=0.6))
+    assert time.perf_counter() - start < 1.0
