@@ -34,7 +34,6 @@ from .metrics import area, parse_metric
 from .solver import (
     ProblemSpec,
     SolverConfig,
-    _sharing_roots,
     build_profile,
     critical_constant,
     critical_inner_radius,
@@ -257,7 +256,9 @@ def cmd_sweep(args) -> int:
     mod_target = math.log(args.Q / args.q)
     rows = []
     for i in range(args.r_steps):
-        r = args.r_min + i * (args.r_max - args.r_min) / (args.r_steps - 1)
+        # the last row is r_max itself, which the step formula can overshoot
+        r = args.r_max if i == args.r_steps - 1 else \
+            args.r_min + i * (args.r_max - args.r_min) / (args.r_steps - 1)
         spec = ProblemSpec(metric=metric, q=args.q, Q=args.Q, r=r)
         try:
             c = solve_c(spec, config)
@@ -297,9 +298,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a command reads its profile from the Psi table solve_c built
-        with _sharing_roots():
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except BelowCritical as exc:
         payload = {"error": "BelowCritical", "critical_r": exc.critical_r}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

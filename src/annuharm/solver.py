@@ -19,8 +19,6 @@ fatter than r0 = exp(-mu(c0)) admit no radial minimizer.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -141,39 +139,36 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
     return y_star, -w_min
 
 
-# [(metric, q, Q), critical data, Psi table at the root or None] of the
-# latest solve_c inside a _sharing_roots() block; None outside every block
-_KEPT_ROOT: ContextVar[list | None] = ContextVar("_KEPT_ROOT", default=None)
+# ((metric, q, Q), its critical data (y*, c0), the Psi table solve_c built
+# at its root or None) of the latest annulus: replaced whole by one
+# assignment and read once per call, so a thread never sees a mix of two
+# annuli.  The inputs of a hit are those of a fresh computation, and so are
+# its outputs, bitwise.
+_LATEST: tuple = ((None, None, None), None, None)
 
 
-@contextmanager
-def _sharing_roots():
-    """Within the block solve_c keeps its critical data and the Psi table it
-    built at its root, and solve_c, build_profile and critical_inner_radius
-    read them for the same (metric, q, Q) (and c) instead of computing them
-    again.  The inputs are the same, so are the outputs, bitwise.  What is
-    kept is dropped when the block ends: nothing outlives one verification
-    suite or one command."""
-    token = _KEPT_ROOT.set([])
-    try:
-        yield
-    finally:
-        _KEPT_ROOT.reset(token)
+def _holds(key: tuple, metric: RadialMetric, q: float, Q: float) -> bool:
+    """Whether the slot's key is (metric, q, Q): the same metric object (two
+    metrics may share a name, not a density) and equal radii."""
+    return key[0] is metric and key[1] == q and key[2] == Q
 
 
-def _kept_root(metric: RadialMetric, q: float, Q: float):
-    """(critical data, root Psi table or None) that solve_c kept for
-    (metric, q, Q), or (None, None)."""
-    kept = _KEPT_ROOT.get()
-    if kept and kept[0] == (metric, q, Q):
-        return kept[1], kept[2]
-    return None, None
+def _critical(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
+    """The (y*, c0) of _critical_info for (metric, q, Q): the slot's when it
+    holds this annulus, else scanned into a fresh slot without a root table."""
+    global _LATEST
+    key, critical, _ = _LATEST
+    if _holds(key, metric, q, Q):
+        return critical
+    critical = _critical_info(metric, q, Q)
+    _LATEST = (metric, q, Q), critical, None
+    return critical
 
 
 def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
     """The most negative admissible variational constant,
     -min over [q, Q] of y^2 rho(y); always strictly negative."""
-    return _critical_info(metric, q, Q)[1]
+    return _critical(metric, q, Q)[1]
 
 
 class Psi:
@@ -189,15 +184,14 @@ class Psi:
     Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
     on the part of a panel; below q the same rule continues the integral,
     so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
-    the profile equation does.  ``critical`` is the (y*, c0) pair of
-    ``_critical_info`` when the caller already has it.  Raises BelowCritical
+    the profile equation does.  The critical data come from the solver's
+    slot of the latest annulus (see ``_critical``).  Raises BelowCritical
     for c under the critical constant and DivergentModulus where the
     integral diverges.
     """
 
-    def __init__(self, metric: RadialMetric, q: float, Q: float, c: float,
-                 critical: tuple[float, float] | None = None):
-        y_star, c_crit = critical or _critical_info(metric, q, Q)
+    def __init__(self, metric: RadialMetric, q: float, Q: float, c: float):
+        y_star, c_crit = _critical(metric, q, Q)
         scale = max(1.0, abs(c_crit))
         if c < c_crit - 1e-12 * scale:
             raise BelowCritical(
@@ -400,10 +394,8 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
     """exp(-mu(c0)): domain annuli with r below this admit no radial
     minimizer.  Returns 0.0 when the critical modulus diverges (every
     domain annulus is then feasible)."""
-    critical = _kept_root(metric, q, Q)[0] or _critical_info(metric, q, Q)
     try:
-        return math.exp(-Psi(metric, q, Q, critical[1],
-                             critical=critical).total)
+        return math.exp(-Psi(metric, q, Q, _critical(metric, q, Q)[1]).total)
     except DivergentModulus:
         return 0.0
 
@@ -424,22 +416,21 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
     linear for large c, where mu ~ 1/sqrt(c).
     """
+    global _LATEST
     metric, q, Q = spec.metric, spec.q, spec.Q
-    critical = _kept_root(metric, q, Q)[0] or _critical_info(metric, q, Q)
-    c, psi = _root(spec, config, critical)
-    kept = _KEPT_ROOT.get()
-    if kept is not None:
-        kept[:] = (metric, q, Q), critical, psi
+    critical = _critical(metric, q, Q)
+    c, psi = _root(spec, config, critical[1])
+    # build_profile reads its profile from this table
+    _LATEST = (metric, q, Q), critical, psi
     return c
 
 
 def _root(spec: ProblemSpec, config: SolverConfig,
-          critical: tuple[float, float]) -> tuple[float, Psi | None]:
+          c_crit: float) -> tuple[float, Psi | None]:
     """solve_c's root c and the Psi table it built at c (None where it
     returns c0 without one)."""
     metric, q, Q = spec.metric, spec.q, spec.Q
     target = math.log(1.0 / spec.r)
-    c_crit = critical[1]
     latest = [math.nan, math.nan, None]
 
     def modulus(c):
@@ -448,7 +439,7 @@ def _root(spec: ProblemSpec, config: SolverConfig,
         every c further out, so the bracket keeps its order; a root next to
         such a c fails the residual check below."""
         try:
-            psi = Psi(metric, q, Q, c, critical)
+            psi = Psi(metric, q, Q, c)
         except DivergentModulus:
             return math.inf, None
         return psi.total, psi
@@ -577,13 +568,13 @@ def build_profile(
 
     Raises ProfileMismatch when p(r), the solution of Psi(p) = log(1/r),
     misses q by more than 1e-6 Q: the supplied (q, Q, r, c) are then
-    inconsistent.  Inside a _sharing_roots() block the Psi table that
-    solve_c built at this c is reused.
+    inconsistent.  The Psi table that the latest solve_c built at its root
+    is reused when it has this annulus and this c.
     """
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    critical, psi = _kept_root(metric, q, Q)
-    if psi is None or psi.c != c:
-        psi = Psi(metric, q, Q, c, critical)
+    key, _, psi = _LATEST
+    if psi is None or psi.c != c or not _holds(key, metric, q, Q):
+        psi = Psi(metric, q, Q, c)
     profile = MinimizerProfile(
         c=c,
         psi=psi,

@@ -32,7 +32,6 @@ from .solver import (
     MinimizerProfile,
     ProblemSpec,
     SolverConfig,
-    _sharing_roots,
     build_profile,
     solve_c,
 )
@@ -367,23 +366,21 @@ def run_full_suite(
     if check_tol is None:
         check_tol = config.tol_c
     report = VerificationReport()
-    # the profile is read from the Psi table solve_c built at its root
-    with _sharing_roots():
-        try:
-            c = solve_c(spec, config)
-        except BelowCritical as exc:
-            report.checks.append(
-                CheckRecord(
-                    name="solvable_configuration",
-                    measured=1.0,
-                    tolerance=0.0,
-                    passed=False,
-                    detail=f"below critical: critical_r={exc.critical_r:.12g}, "
-                           f"critical_c={exc.critical_c:.12g}",
-                )
+    try:
+        c = solve_c(spec, config)
+    except BelowCritical as exc:
+        report.checks.append(
+            CheckRecord(
+                name="solvable_configuration",
+                measured=1.0,
+                tolerance=0.0,
+                passed=False,
+                detail=f"below critical: critical_r={exc.critical_r:.12g}, "
+                       f"critical_c={exc.critical_c:.12g}",
             )
-            return report
-        profile = build_profile(spec, c, config)
+        )
+        return report
+    profile = build_profile(spec, c, config)
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
     report.checks.append(
         CheckRecord.measure("solvable_configuration", 0.0, 0.0,

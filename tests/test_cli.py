@@ -199,6 +199,15 @@ class TestSweep:
         assert abs(float(rows[0.8][1])) <= 1e-9
         assert float(rows[0.9][5]) >= 0.8 - 1e-9  # lonorm_inf for c > 0
 
+    def test_last_row_is_r_max(self):
+        # 0.5 + 12 * (0.9 - 0.5) / 12 rounds to 0.9000000000000001
+        out = run_cli("sweep", "--metric", "euclidean", "--q", "0.8", "--Q", "1",
+                      "--r_min", "0.5", "--r_max", "0.9", "--r_steps", "13")
+        radii = [float(line.split(",")[0])
+                 for line in out.stdout.strip().splitlines()[1:]]
+        assert radii[:-1] == [0.5 + i * (0.9 - 0.5) / 12 for i in range(12)]
+        assert radii[-1] == 0.9
+
     def test_all_below_critical(self):
         out = run_cli("sweep", "--metric", "euclidean", "--q", "0.8", "--Q", "1",
                       "--r_min", "0.3", "--r_max", "0.45", "--r_steps", "4")

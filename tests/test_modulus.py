@@ -1,6 +1,7 @@
 """The modulus equation mu(c) = log(1/r): its residual stop, the work one
 solve costs, and the quadrature of mu next to the critical constant."""
 
+import dataclasses
 import io
 import math
 from contextlib import redirect_stdout
@@ -17,6 +18,7 @@ from annuharm import (
     DivergentModulus,
     NoConvergence,
     ProblemSpec,
+    ProfileMismatch,
     SolverConfig,
     build_profile,
     critical_constant,
@@ -39,12 +41,16 @@ TWELVE_CONFIGS = [
     ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
 ]
 TOL_C = SolverConfig().tol_c
+# solver's shared slot holding no annulus
+EMPTY_SLOT = ((None, None, None), None, None)
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of _critical_info, Psi builds and solve_c (as verify calls it)."""
+    """Calls of _critical_info, Psi builds and solve_c (as verify calls it),
+    from an empty slot."""
     seen = {"critical": 0, "psi": 0, "solve": 0}
+    monkeypatch.setattr(solver, "_LATEST", EMPTY_SLOT)
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -79,20 +85,32 @@ class TestWork:
 
     @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
     def test_suite_reads_profile_from_root(self, counts, name, q, Q, r):
-        # the suite's profile is the Psi table solve_c built at its root: no
-        # second critical scan, no second table
+        # the suite's profile is the Psi table solve_c built at its root, and
+        # the critical data are those the solve before it scanned
         spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
         solve_c(spec)
         builds = counts["psi"]
         counts.update(critical=0, psi=0)
         assert run_full_suite(spec).all_passed
-        assert counts == {"critical": 1, "psi": builds, "solve": 1}
+        assert counts == {"critical": 0, "psi": builds, "solve": 1}
+
+    def test_plain_pair_scans_once(self, counts):
+        # no block, no keyword: the library calls share the critical data,
+        # and only critical_inner_radius adds a table, the one at c0
+        metric = parse_metric("sphere")
+        spec = ProblemSpec(metric=metric, q=0.5, Q=1.0, r=0.7)
+        c = solve_c(spec)
+        builds = counts["psi"]
+        build_profile(spec, c)
+        critical_inner_radius(metric, spec.q, spec.Q)
+        assert counts == {"critical": 1, "psi": builds + 1, "solve": 0}
 
     @pytest.mark.parametrize("command, extra", [
         ("solve", ["--r", "0.7"]),
         ("eval", ["--r", "0.7", "--grid_s", "4", "--grid_t", "4"]),
         ("verify", ["--r", "0.7"]),
         ("sweep", ["--r_min", "0.6", "--r_max", "0.7", "--r_steps", "2"]),
+        ("critical", []),
     ])
     def test_cli_scans_critical_data_once(self, counts, command, extra):
         spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.7)
@@ -104,8 +122,51 @@ class TestWork:
             assert main(args) == 0
         assert counts["critical"] == 1
         # solve adds the table of critical_inner_radius at c0
-        expected = {"solve": builds + 1, "eval": builds, "verify": builds}
+        expected = {"critical": 1, "solve": builds + 1, "eval": builds,
+                    "verify": builds}
         assert counts["psi"] == expected.get(command, counts["psi"])
+
+
+class TestSharedSlot:
+    """The slot serves only the inputs it was filled from."""
+
+    def test_alternating_inputs_match_fresh_computations(self, monkeypatch):
+        sphere = parse_metric("sphere")
+        # the same name and annulus, another density
+        doubled = dataclasses.replace(sphere, eval=lambda y: 2.0 * sphere.eval(y))
+        cases = [(sphere, 0.5, 1.0, 0.7), (doubled, 0.5, 1.0, 0.6),
+                 (sphere, 0.4, 1.0, 0.7), (sphere, 0.5, 1.0, 0.6)]
+
+        def fresh(func, *args):
+            monkeypatch.setattr(solver, "_LATEST", EMPTY_SLOT)
+            return func(*args)
+
+        expected = [(fresh(critical_constant, metric, q, Q),
+                     fresh(solve_c, ProblemSpec(metric, q, Q, r)))
+                    for metric, q, Q, r in cases]
+        assert len({c0 for c0, _ in expected}) == 3
+        for _ in range(2):
+            for (metric, q, Q, r), (c0, c) in zip(cases, expected):
+                assert critical_constant(metric, q, Q) == c0
+                assert solve_c(ProblemSpec(metric, q, Q, r)) == c
+
+    def test_profile_reuses_only_its_own_root_table(self):
+        metric = parse_metric("sphere")
+        spec = ProblemSpec(metric=metric, q=0.5, Q=1.0, r=0.7)
+        c = solve_c(spec)
+        assert build_profile(spec, c).psi is solver._LATEST[2]
+        # another c or another annulus: the root table would put p(r) on q
+        # exactly
+        with pytest.raises(ProfileMismatch):
+            build_profile(spec, c + 0.1)
+        solve_c(spec)
+        with pytest.raises(ProfileMismatch):
+            build_profile(ProblemSpec(metric, 0.5, 1.2, 0.7), c)
+        # another metric object with the same density
+        solve_c(spec)
+        twin = dataclasses.replace(metric)
+        profile = build_profile(ProblemSpec(twin, 0.5, 1.0, 0.7), c)
+        assert profile.psi.metric is twin
 
 
 def test_residual_stop_near_critical():
