@@ -134,7 +134,10 @@ def _stencil(profile: MinimizerProfile, h: float, n_s: int = 16,
     z = (s[:, None] * np.exp(1j * t)[None, :]).ravel()
     pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
     radii = np.abs(pts)
-    return _Stencil(h, pts, radii, profile.profile(radii))
+    # solved from Psi, not read from the profile table: the residuals divide
+    # by 4 h^2, and the table's ulp noise would lift them above the noise
+    # floor of their order checks
+    return _Stencil(h, pts, radii, profile.psi.radius(radii))
 
 
 def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> float:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from annuharm import modulus_of_c, parse_metric
 from annuharm.cli import main
 
 EVAL_HEADER = "s,t,re_w,im_w,re_wz,im_wz,re_wzb,im_wzb,jac,opnorm,lonorm,re_hopf,im_hopf"
@@ -100,8 +102,24 @@ class TestSolve:
                       "--Q", "1", "--r", "0.999999999")
         assert out.returncode == 4
         doc = json.loads(out.stdout)
+        assert doc["detail"].startswith("could not bracket c upward: ")
         assert doc == {"error": "NoConvergence", "stage": "solver.solve_c",
-                       "detail": "could not bracket c upward"}
+                       "detail": doc["detail"]}
+
+    def test_bracket_cap_reported(self):
+        # log(1/r) = 1e-8 would need c near 4e14, past the cap c = 1e12
+        out = run_cli("solve", "--metric", "euclidean", "--q", "0.8",
+                      "--Q", "1", "--r", "0.99999999")
+        assert out.returncode == 4
+        doc = json.loads(out.stdout)
+        assert doc["error"] == "NoConvergence"
+        found = re.fullmatch(
+            r"could not bracket c upward: mu\(c\) = (\S+) at the cap "
+            r"c = 1e\+12 still exceeds log\(1/r\) = (\S+)", doc["detail"])
+        assert found, doc["detail"]
+        mu = modulus_of_c(parse_metric("euclidean"), 0.8, 1.0, 1e12)
+        assert float(found[1]) == pytest.approx(mu, rel=1e-5)
+        assert float(found[2]) == pytest.approx(-math.log(0.99999999), rel=1e-5)
 
     def test_consistent_with_critical_command(self):
         solved = json.loads(run_cli(

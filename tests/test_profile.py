@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annuharm import (
+    NoConvergence,
     ProblemSpec,
     ProfileMismatch,
     build_profile,
@@ -23,6 +24,7 @@ from annuharm import (
     parse_metric,
     solve_c,
 )
+from annuharm import solver
 from annuharm.solver import Psi
 
 EUCLID = parse_metric("euclidean")
@@ -36,6 +38,14 @@ TWELVE_CONFIGS = [
     ("inverse_r", 0.5, 1.0, 0.5), ("sphere", 0.5, 1.0, 0.5),
     ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
 ]
+# the profile tables with the most pieces seen: 16 at c = 1.2e5, and 5
+POWER_CONFIGS = [("power:4", 0.2105, 9.07, 0.607),
+                 ("power:-2", 4.9368, 6.0769, 0.024577)]
+
+
+def _solved(name, q, Q, r):
+    spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
+    return build_profile(spec, solve_c(spec))
 
 
 class TestClosedForms:
@@ -79,21 +89,46 @@ def test_profile_independent_of_batch(name, q, Q, r):
     alone = np.array([prof.profile(float(x)) for x in s])
     assert np.array_equal(prof.profile(s), alone)
     assert np.array_equal(prof.profile(s[::-1]), alone[::-1])
+    assert np.array_equal(prof.profile(s[::3]), alone[::3])
 
 
-def test_profile_solves_each_radius_once(monkeypatch):
-    spec = ProblemSpec(metric=parse_metric("sphere"), q=0.5, Q=1.0, r=0.7)
-    prof = build_profile(spec, solve_c(spec))
-    s = np.linspace(0.7, 1.0, 33)
-    expected = prof.profile(s)
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + POWER_CONFIGS)
+def test_table_matches_first_integral(name, q, Q, r):
+    prof = _solved(name, q, Q, r)
+    s = np.linspace(r, 1.0, 4097)
+    assert np.max(np.abs(prof.profile(s) - prof.psi.radius(s))) <= 1e-14 * Q
+    # the end nodes are the ends: p(r) is the profile's inner value
+    assert prof.profile(r) == prof.inner and prof.profile(1.0) == Q
+    # a point below r, inside the annulus slack, is solved from Psi
+    below = r - 5e-13
+    assert prof.profile(below) == prof.psi.radius(below)
+
+
+def test_profile_reads_table_after_one_solve_per_round(monkeypatch):
+    prof = _solved(*POWER_CONFIGS[0])
     sizes = []
     v_of_log = Psi.v_of_log
     monkeypatch.setattr(Psi, "v_of_log", lambda self, target: (
         sizes.append(np.size(target)), v_of_log(self, target))[1])
+    s = np.linspace(prof.spec.r, 1.0, 33)
+    expected = prof.profile(s)
+    # the pieces halve [r, 1]: a piece of depth d was solved in round d + 1
+    breaks = prof._table[0]
+    depth = np.round(np.log2((1.0 - prof.spec.r) / np.diff(breaks)))
+    assert breaks.size > 2 and len(sizes) == depth.max() + 1
+    assert sizes[0] == solver._DEGREE + 1
+    sizes.clear()
     repeated = np.stack([s, s[::-1], s])
     assert np.array_equal(prof.profile(repeated), np.stack(
         [expected, expected[::-1], expected]))
-    assert sizes == [33]
+    assert sizes == []
+
+
+def test_table_piece_cap(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_PIECES", 8)
+    prof = _solved(*POWER_CONFIGS[0])
+    with pytest.raises(NoConvergence, match="more than 8 pieces"):
+        prof.profile(0.8)
 
 
 def test_inner_radius_solved_once(monkeypatch):
