@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OutOfAnnulus
 from .metrics import RadialMetric
-from .numerics import _zoom, minimize_scalar
+from .numerics import minimize_scalar
 from .solver import MinimizerProfile
 
 __all__ = [
@@ -142,11 +142,11 @@ def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
 
     With p' = sqrt(p^2 + c/rho(p)) / s and ds/s = dp / sqrt(p^2 + c/rho(p))
     it becomes 2 pi int_{p(r)}^Q (2 y^2 rho(y) + c) / sqrt(y^2 + c/rho(y)) dy,
-    integrated on the panels of the profile's first integral.
+    integrated adaptively in the first integral's variable v.
     """
     c = profile.c
     weight = lambda y: 2.0 * y * y * metric.eval(y) + c
-    return 2.0 * math.pi * profile.psi.integrate(weight, profile.inner)
+    return 2.0 * math.pi * profile.psi.integrate(weight, profile.inner_v)
 
 
 def lipschitz_constant(
@@ -154,29 +154,25 @@ def lipschitz_constant(
 ) -> tuple[float, float]:
     """(sup |Dw|, inf l(Dw)) over the annulus.
 
-    Both quantities are t-independent for radial maps.  They are scanned
-    densely in the first integral's variable v, where p = y(v) and s =
-    exp(-Psi) are explicit, and the scan winners are refined by zooming:
-    seven 33-point scans per quantity, each shrinking the bracket around the
-    winner 16-fold, with both quantities' scans evaluated together.  The
-    scan's endpoints stay candidates.
+    Both stretches p/s and p' are t-independent for radial maps, and the
+    first integral p'^2 - (p/s)^2 = c / (rho(p) s^2) orders them: p' - p/s
+    has the sign of c.  As d(p/s)/ds = (p' - p/s) / s, p/s is monotone and
+    its extreme is p(r)/r: sup |Dw| for c <= 0, inf l(Dw) for c > 0.  The
+    other constant is the extreme of p' (its min for c <= 0, its max for
+    c > 0), searched by minimize_scalar in the first integral's variable v,
+    where p = y(v) and s = exp(-Psi) are explicit, down to a step of 1e-12
+    of the v span; the endpoints stay candidates.
     """
-    psi = profile.psi
+    psi, c = profile.psi, profile.c
+    sign = 1.0 if c <= 0.0 else -1.0
 
-    def extremes(v):
-        """(-max, min) of (p/s, p') at y(v)."""
-        p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
-        tangential, dp = p / s, psi.slope(s, p)
-        return -np.maximum(tangential, dp), np.minimum(tangential, dp)
+    def slope(v):
+        return sign * psi.slope(np.exp(-psi.at_v(v)), psi.y_of_v(v))
 
-    scan = np.linspace(profile.inner_v, psi.edges[-1], 2048)
-    xs, ys = (scan, scan), extremes(scan)
-    for _ in range(7):
-        xs = [_zoom(x, y) for x, y in zip(xs, ys)]
-        neg_sup, inf_lo = extremes(np.concatenate(xs))
-        n = xs[0].size
-        ys = neg_sup[:n], inf_lo[n:]
-    return -float(np.min(ys[0])), float(np.min(ys[1]))
+    lo, hi = profile.inner_v, psi.edges[-1]
+    _, extreme = minimize_scalar(slope, lo, hi, 1e-12 * (hi - lo))
+    edge = profile.inner / profile.spec.r
+    return (edge, extreme) if c <= 0.0 else (-extreme, edge)
 
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:

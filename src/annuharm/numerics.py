@@ -270,13 +270,6 @@ def _winner(y: np.ndarray) -> int:
     return int(np.nanargmin(y)) if math.isnan(y[k]) else k
 
 
-def _zoom(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """33 points across the neighbours of the scan winner: the grid step
-    shrinks at least 16-fold."""
-    k = _winner(y)
-    return np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
-
-
 def minimize_scalar(
     f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
@@ -294,8 +287,10 @@ def minimize_scalar(
     F = _ArrayFunc(f)
     xs = np.linspace(a, b, 1024)
     ys = F(xs)
-    while xs[1] - xs[0] > tol:
-        xs = _zoom(xs, ys)
-        ys = F(xs)
     k = _winner(ys)
+    while xs[1] - xs[0] > tol:
+        # 33 points across the winner's neighbours: the step shrinks >= 16-fold
+        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)], 33)
+        ys = F(xs)
+        k = _winner(ys)
     return float(xs[k]), float(ys[k])

@@ -29,6 +29,7 @@ from .errors import (
     DivergentIntegral,
     DivergentModulus,
     NoConvergence,
+    OutOfAnnulus,
     OutOfDomain,
     ProfileMismatch,
 )
@@ -66,6 +67,8 @@ CRITICAL = "Critical"
 
 # absolute error allowed the quadrature of Psi over [q, Q]
 _MODULUS_TOL = 1e-11
+# relative error allowed Psi.integrate
+_INTEGRAL_TOL = 1e-13
 # relative closeness of c to the critical constant below which the modulus
 # integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
@@ -377,20 +380,38 @@ class Psi:
         out = np.sqrt(np.maximum(self._radicand(p), 0.0)) / s
         return float(out) if np.ndim(out) == 0 else out
 
-    def integrate(self, weight, p_lo: float) -> float:
-        """int_{p_lo}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) on the panels."""
-        lo, hi = self.edges[:-1], self.edges[1:]
-        whole = math.fsum(self._gauss(lo, hi, weight))
-        # p_lo differs from q only by the profile's miss at s = r
-        v_lo = self.v_of_y(p_lo)
-        return whole - float(self._gauss(self.edges[0], v_lo, weight))
+    def _panel_sum(self, weight) -> float:
+        """int_q^Q weight(y) dy / sqrt(y^2 + c/rho(y)) by one 15-point rule
+        per panel of the table."""
+        return math.fsum(self._gauss(self.edges[:-1], self.edges[1:], weight))
+
+    def integrate(self, weight, v_lo: float) -> float:
+        """int_{y(v_lo)}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) for a positive
+        weight, to _INTEGRAL_TOL of its panel sum: adaptively in v on each
+        side of the anchor, with panels settled at the rounding floor of g."""
+        scale = self._panel_sum(weight)
+
+        def integrand(v):
+            g, noise = self.g(v, noisy=True)
+            w = weight(self.y_of_v(v))
+            return g * w, noise * np.abs(w)
+
+        v_hi = self.edges[-1]
+        pieces = [(lo, hi) for lo, hi in ((v_lo, min(v_hi, 0.0)),
+                                          (max(v_lo, 0.0), v_hi)) if lo < hi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return math.fsum(
+                _adaptive_core(integrand, lo, hi,
+                               _INTEGRAL_TOL * abs(scale) / len(pieces))[0]
+                for lo, hi in pieces)
 
     def dmu_dc(self) -> float:
-        """mu'(c) = -1/2 int_q^Q dy / (rho (y^2 + c/rho)^{3/2}) on the panels
-        of mu; near the critical constant only its leading digits are
-        reliable, which is all a Newton step needs."""
-        return -0.5 * self.integrate(
-            lambda y: 1.0 / (_weight(self.metric, y) + self.c), self.q)
+        """mu'(c) = -1/2 int_q^Q dy / (rho (y^2 + c/rho)^{3/2}) by one
+        15-point rule per panel of mu; the integrand is singular at the
+        critical constant, where only its leading digits are reliable, which
+        is all a Newton step needs."""
+        return -0.5 * self._panel_sum(
+            lambda y: 1.0 / (_weight(self.metric, y) + self.c))
 
 
 def modulus_of_c(metric: RadialMetric, q: float, Q: float, c: float) -> float:
@@ -631,8 +652,13 @@ class MinimizerProfile:
     def profile(self, s):
         """p(s), scalar or array: on [r, 1] read from the table by
         barycentric interpolation, elsewhere solved from Psi(p) = log(1/s).
-        A point's value does not depend on the points asked with it."""
+        A point's value does not depend on the points asked with it.  Raises
+        OutOfAnnulus where s is not a positive finite number."""
         s = np.asarray(s, dtype=float)
+        bad = ~(np.isfinite(s) & (s > 0.0))
+        if bad.any():
+            raise OutOfAnnulus(f"radius {s[bad].flat[0]} is not a positive "
+                               f"finite number")
         inside = (s >= self.spec.r) & (s <= 1.0)
         p = np.empty(s.shape)
         if inside.any():

@@ -257,6 +257,13 @@ class TestVerify:
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["energy_attains_lower_bound"]["passed"]
 
+    def test_conformal_steep_density_passes(self):
+        # c = 0, so the energy is twice the area: the energy checks hold it
+        # to that within their 1e-9 bounds
+        code, text = run_main("verify", "--metric", "hyperbolic", "--q",
+                              "0.475", "--Q", "0.95", "--r", "0.5")
+        assert code == 0, text
+
     def test_tampered_tolerance_fails(self):
         out = run_cli("verify", "--metric", "euclidean", "--q", "0.8",
                       "--Q", "1", "--r", "0.5", "--tol", "1e-30")

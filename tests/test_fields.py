@@ -10,7 +10,9 @@ from annuharm import (
     FieldSample,
     OutOfAnnulus,
     PolarGrid,
+    ProblemSpec,
     area,
+    build_profile,
     derivatives_point,
     energy,
     export_grid,
@@ -124,6 +126,15 @@ class TestHopfQuantity:
 
 
 class TestEnergy:
+    def test_conformal_resolves_steep_density(self):
+        # c = 0: the energy is twice the area; the panels of Psi alone left
+        # it 2e-7 low here
+        metric = parse_metric("hyperbolic")
+        spec = ProblemSpec(metric=metric, q=0.475, Q=0.95, r=0.5)
+        prof = build_profile(spec, 0.0)
+        lower = 2.0 * area(metric, 0.475, 0.95)
+        assert abs(energy(prof, metric) - lower) <= 1e-12 * lower
+
     def test_conformal_attains_bound(self, euclid_conformal):
         total = energy(euclid_conformal, EUCLID)
         assert total == pytest.approx(2.0 * math.pi * 0.36, rel=1e-9)
@@ -145,7 +156,7 @@ class TestEnergy:
 class TestLipschitzConstant:
     def test_critical(self, euclid_critical):
         sup_op, inf_lo = lipschitz_constant(euclid_critical, EUCLID)
-        assert sup_op == pytest.approx(1.6, abs=1e-9)  # q/r at the inner edge
+        assert sup_op == 0.8 / 0.5  # q/r at the inner edge
         assert inf_lo <= 1e-9
 
     def test_conformal(self, euclid_conformal):
@@ -159,31 +170,35 @@ class TestLipschitzConstant:
         _, inf_lo = lipschitz_constant(euclid_expanding, EUCLID)
         assert inf_lo >= 0.8 - 1e-9
 
+    @pytest.mark.parametrize("q, Q, r", [
+        (0.8, 1.0, 0.5),   # critical: p'(r) = 0
+        (3.1, 9.7, 0.5),   # expanding
+        (2.0, 5.0, 0.45),  # expanding
+        (3.1, 9.7, 0.3),   # subcritical
+        (2.0, 5.0, 0.33),  # subcritical
+    ])
+    def test_euclidean_closed_form(self, q, Q, r):
+        # p = A s + B/s with p(r) = q, p(1) = Q and c = -4AB: the stretches
+        # are p/s = A + B/s^2 and p' = A - B/s^2, both extreme at s = r
+        A = (Q - q * r) / (1.0 - r * r)
+        B = r * (q - Q * r) / (1.0 - r * r)
+        spec = ProblemSpec(metric=EUCLID, q=q, Q=Q, r=r)
+        prof = build_profile(spec, -4.0 * A * B)
+        tangential, radial = q / r, A - B / (r * r)
+        sup_op, inf_lo = lipschitz_constant(prof, EUCLID)
+        assert sup_op == pytest.approx(max(tangential, radial), rel=1e-14)
+        assert inf_lo == pytest.approx(min(tangential, radial), rel=1e-14,
+                                       abs=1e-14 * sup_op)
+
     @pytest.mark.parametrize("fixture", ["euclid_critical", "euclid_expanding",
                                          "sphere_expanding",
                                          "inverse_r_expanding"])
-    def test_joint_zoom_matches_separate_zooms(self, fixture, request):
-        # the sup and inf zooms are evaluated together; each must still be
-        # bitwise its own seven 33-point zooms from the 2048-point scan
+    def test_tangential_stretch_at_inner_edge(self, fixture, request):
+        # p/s is monotone, so one of the constants is p(r)/r itself
         prof = request.getfixturevalue(fixture)
-        psi = prof.psi
-
-        def stretches(v):
-            p, s = psi.y_of_v(v), np.exp(-psi.at_v(v))
-            return p / s, psi.slope(s, p)
-
-        def zoom_max(f):
-            x = np.linspace(prof.inner_v, psi.edges[-1], 2048)
-            y = f(x)
-            for _ in range(7):
-                k = int(np.argmax(y))
-                x = np.linspace(x[max(k - 1, 0)], x[min(k + 1, x.size - 1)], 33)
-                y = f(x)
-            return float(np.max(y))
-
-        sup_op = zoom_max(lambda v: np.maximum(*stretches(v)))
-        inf_lo = -zoom_max(lambda v: -np.minimum(*stretches(v)))
-        assert lipschitz_constant(prof, prof.spec.metric) == (sup_op, inf_lo)
+        edge = prof.inner / prof.spec.r
+        sup_op, inf_lo = lipschitz_constant(prof, prof.spec.metric)
+        assert (sup_op if prof.c <= 0.0 else inf_lo) == edge
 
 
 class TestKKConstants:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from annuharm import (
     NoConvergence,
+    OutOfAnnulus,
     ProblemSpec,
     ProfileMismatch,
     build_profile,
@@ -129,6 +130,14 @@ def test_table_piece_cap(monkeypatch):
     prof = _solved(*POWER_CONFIGS[0])
     with pytest.raises(NoConvergence, match="more than 8 pieces"):
         prof.profile(0.8)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan,
+                               [0.7, 0.0], [math.nan, 0.9]])
+def test_profile_rejects_bad_radius(s):
+    prof = _solved("inverse_r", 0.5, 1.0, 0.45)
+    with pytest.raises(OutOfAnnulus, match="not a positive finite number"):
+        prof.profile(s)
 
 
 def test_inner_radius_solved_once(monkeypatch):

@@ -1,6 +1,8 @@
 """Properties of the solved map over all ten built-in metrics, with c on
-both sides of 0: mu decreases in c, J >= 0, ||Dw||^2 <= 2 J + K' and the
-energy is at least twice the metric area of the target."""
+both sides of 0: mu decreases in c, J >= 0, ||Dw||^2 <= 2 J + K', the
+energy is at least twice the metric area of the target, and the stretches
+p' and p/s are ordered by the sign of c and bracketed by the Lipschitz
+constants."""
 
 import math
 
@@ -15,6 +17,7 @@ from annuharm import (
     critical_constant,
     energy,
     kk_constants,
+    lipschitz_constant,
     modulus_of_c,
     parse_metric,
 )
@@ -74,3 +77,36 @@ def test_profile_table_matrix(name, outer, ratio, lift):
     profile = build_profile(ProblemSpec(metric=metric, q=q, Q=Q, r=r), c)
     s = np.linspace(r, 1.0, 257)
     assert np.max(np.abs(profile.profile(s) - profile.psi.radius(s))) <= 1e-14 * Q
+
+
+# the sampled stretches are read from the profile table and the constants
+# from the first integral in v: they may differ by a few ulps
+SLACK = 1e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(NAMES),
+    outer=st.floats(0.0, 1.0),
+    ratio=st.floats(0.1, 0.9),
+    lift=st.floats(-0.99, 4.0),
+)
+def test_lipschitz_matrix(name, outer, ratio, lift):
+    # p'^2 - (p/s)^2 = c / (rho(p) s^2): p' - p/s has the sign of c, and
+    # (sup |Dw|, inf l(Dw)) brackets both stretches at every sampled radius
+    metric = parse_metric(name)
+    Q = 0.3 + 0.65 * outer if name == "hyperbolic" else 0.3 * (10 / 0.3) ** outer
+    q = ratio * Q
+    c = lift * abs(critical_constant(metric, q, Q))
+    r = math.exp(-modulus_of_c(metric, q, Q, c))
+    profile = build_profile(ProblemSpec(metric=metric, q=q, Q=Q, r=r), c)
+    s = np.linspace(r, 1.0, 4097)
+    p = profile.profile(s)
+    tangential, radial = p / s, profile.psi.slope(s, p)
+    order = np.sign(radial - tangential)
+    # c/rho(p) may round away next to p^2 (order 0), but never reverses it
+    lost = abs(c) <= 16.0 * np.finfo(float).eps * p * p * metric.eval(p)
+    assert np.all((order == np.sign(c)) | (lost & (order == 0.0)))
+    sup_op, inf_lo = lipschitz_constant(profile, metric)
+    assert np.max(np.maximum(tangential, radial)) <= sup_op * (1.0 + SLACK)
+    assert inf_lo <= np.min(np.minimum(tangential, radial)) * (1.0 + SLACK)
