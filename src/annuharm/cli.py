@@ -158,8 +158,9 @@ def _emit_table(header: str, rows: list[dict], fmt: str, out_path: str) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    # the solver's equation tolerance stays floored at a resolvable level;
-    # the raw --tol still reaches classification ties and check tolerances
+    # the solver's equation tolerance, which also sets classification ties
+    # and the sign law, stays floored at a resolvable level; only the
+    # suite's Hopf check reads the raw --tol, as its check_tol
     return SolverConfig(tol_c=max(args.tol, 1e-12), seed=args.seed)
 
 

@@ -34,13 +34,15 @@ _AREA_TOL = 1e-11
 _HYPERBOLIC_EDGE = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialMetric:
     """Radial density with analytic derivatives on a validity interval.
 
     ``eval``, ``deriv`` and ``deriv2`` accept floats or numpy arrays and
     return matching shapes; the density is positive on the open interval
-    ``valid_interval``.
+    ``valid_interval``.  A metric compares and hashes by identity: two
+    metrics may share a name but not a density, and any callable, hashable
+    or not, may serve as one.
     """
 
     eval: Callable

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -155,30 +155,23 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
     return y_star, -w_min
 
 
-# ((metric, q, Q), its critical data (y*, c0), the Psi table solve_c built
-# at its root or None) of the latest annulus: replaced whole by one
-# assignment and read once per call, so a thread never sees a mix of two
-# annuli.  The inputs of a hit are those of a fresh computation, and so are
-# its outputs, bitwise.
-_LATEST: tuple = ((None, None, None), None, None)
-
-
-def _holds(key: tuple, metric: RadialMetric, q: float, Q: float) -> bool:
-    """Whether the slot's key is (metric, q, Q): the same metric object (two
-    metrics may share a name, not a density) and equal radii."""
-    return key[0] is metric and key[1] == q and key[2] == Q
-
-
+# The critical data of the latest annulus and the latest Psi table built for
+# the solver, each in a one-entry cache: both are pure functions of their
+# arguments, so a hit returns what a fresh call returns, bitwise.  A metric
+# is keyed by identity (RadialMetric compares and hashes as an object: two
+# metrics may share a name, not a density).  The callees are looked up when
+# the cache misses, so a replaced _critical_info or Psi still does the work.
+@lru_cache(maxsize=1)
 def _critical(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
-    """The (y*, c0) of _critical_info for (metric, q, Q): the slot's when it
-    holds this annulus, else scanned into a fresh slot without a root table."""
-    global _LATEST
-    key, critical, _ = _LATEST
-    if _holds(key, metric, q, Q):
-        return critical
-    critical = _critical_info(metric, q, Q)
-    _LATEST = (metric, q, Q), critical, None
-    return critical
+    """The (y*, c0) of _critical_info for (metric, q, Q)."""
+    return _critical_info(metric, q, Q)
+
+
+@lru_cache(maxsize=1)
+def _psi(metric: RadialMetric, q: float, Q: float, c: float) -> Psi:
+    """The Psi table of (metric, q, Q, c): solve_c builds every table of its
+    root search here, so build_profile at solve_c's c reads the last one."""
+    return Psi(metric, q, Q, c)
 
 
 def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
@@ -201,9 +194,9 @@ class Psi:
     on the part of a panel; below q the same rule continues the integral,
     so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
     the profile equation does.  The critical data come from the solver's
-    slot of the latest annulus (see ``_critical``).  Raises BelowCritical
-    for c under the critical constant and DivergentModulus where the
-    integral diverges.
+    one-entry cache of the latest annulus (see ``_critical``).  Raises
+    BelowCritical for c under the critical constant and DivergentModulus
+    where the integral diverges.
     """
 
     def __init__(self, metric: RadialMetric, q: float, Q: float, c: float):
@@ -323,6 +316,8 @@ class Psi:
         iteration; a step leaving the bracket is replaced by bisection.
         Below q the bracket extends to a floor, and where the radicand turns
         negative the profile stops at its zero, as the profile equation does.
+        Raises NoConvergence for a point unresolved after _NEWTON_STEPS
+        sweeps.
         """
         target = np.asarray(target, dtype=float).ravel()
         knots, known = self._knots
@@ -362,13 +357,23 @@ class Psi:
             keep = (np.abs(step) <= tol) | ((new > lo[idx]) & (new < hi[idx]))
             new = np.where(keep, new, 0.5 * (lo[idx] + hi[idx]))
             v[idx] = new
-            done = (np.abs(new - va) <= tol) | (hi[idx] - lo[idx] <= tol)
+            # a step within tol ends a point too: rounding can leave it
+            # alternating between two floats just over tol apart
+            done = ((np.abs(step) <= tol) | (np.abs(new - va) <= tol)
+                    | (hi[idx] - lo[idx] <= tol))
             active[idx[done]] = False
+        if active.any():
+            i = np.flatnonzero(active)[0]
+            raise NoConvergence(
+                f"Psi(p) = {target[i]:.17g} unresolved after {_NEWTON_STEPS} "
+                f"Newton sweeps: v in [{lo[i]:.17g}, {hi[i]:.17g}]")
         return v
 
     def radius(self, s):
-        """The profile p(s): Psi(p) = log(1/s); exactly Q at s = 1.  Each
-        distinct radius is solved once."""
+        """The profile p(s): Psi(p) = log(1/s) for s < 1, continued past q
+        below r; exactly Q for s >= 1, where the profile is not continued (the
+        fields' slack sends points like 1 + 1e-13 here).  Each distinct
+        radius is solved once."""
         target = -np.log(np.asarray(s, dtype=float))
         distinct, where = np.unique(target, return_inverse=True)
         p = self.y_of_v(self.v_of_log(distinct))[where].reshape(target.shape)
@@ -450,22 +455,9 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
     linear for large c, where mu ~ 1/sqrt(c).
     """
-    global _LATEST
     metric, q, Q = spec.metric, spec.q, spec.Q
-    critical = _critical(metric, q, Q)
-    c, psi = _root(spec, config, critical[1])
-    # build_profile reads its profile from this table
-    _LATEST = (metric, q, Q), critical, psi
-    return c
-
-
-def _root(spec: ProblemSpec, config: SolverConfig,
-          c_crit: float) -> tuple[float, Psi | None]:
-    """solve_c's root c and the Psi table it built at c (None where it
-    returns c0 without one)."""
-    metric, q, Q = spec.metric, spec.q, spec.Q
+    c_crit = _critical(metric, q, Q)[1]
     target = math.log(1.0 / spec.r)
-    latest = [math.nan, math.nan, None]
 
     def modulus(c):
         """mu(c) and its Psi table, or (+inf, None) where Psi reports the
@@ -473,7 +465,7 @@ def _root(spec: ProblemSpec, config: SolverConfig,
         every c further out, so the bracket keeps its order; a root next to
         such a c fails the residual check below."""
         try:
-            psi = Psi(metric, q, Q, c)
+            psi = _psi(metric, q, Q, c)
         except DivergentModulus:
             return math.inf, None
         return psi.total, psi
@@ -487,13 +479,11 @@ def _root(spec: ProblemSpec, config: SolverConfig,
         return target - target * ratio, 2.0 * x * ratio * ratio * psi.dmu_dc()
 
     def miss_at(x):
-        mu, psi = modulus(c_crit + x * x)
-        latest[:] = x, mu, psi
-        return miss(mu, psi, x)
+        return miss(*modulus(c_crit + x * x), x)
 
     mu0, psi0 = modulus(0.0)
     if abs(mu0 - target) <= config.tol_c:
-        return 0.0, psi0
+        return 0.0
     x0 = math.sqrt(-c_crit)
     end0 = miss(mu0, psi0, x0)
     if target < mu0:
@@ -510,13 +500,14 @@ def _root(spec: ProblemSpec, config: SolverConfig,
         hi = beyond(lo, f_lo)
         while (f_hi := miss_at(hi))[0] > 0.0:
             if hi == x_cap:
+                c_cap = c_crit + x_cap * x_cap
                 raise NoConvergence(
-                    f"could not bracket c upward: mu(c) = {latest[1]:.6g} at "
-                    f"the cap c = {c_crit + x_cap * x_cap:.3g} still exceeds "
-                    f"log(1/r) = {target:.6g}")
+                    f"could not bracket c upward: mu(c) = "
+                    f"{modulus(c_cap)[0]:.6g} at the cap c = {c_cap:.3g} "
+                    f"still exceeds log(1/r) = {target:.6g}")
             lo, f_lo, hi = hi, f_hi, beyond(hi, f_hi)
     else:
-        mu_max, psi_max = modulus(c_crit)
+        mu_max = modulus(c_crit)[0]
         if target > mu_max + config.tol_c:
             raise BelowCritical(
                 f"domain modulus {target:.12g} exceeds the critical modulus "
@@ -525,25 +516,24 @@ def _root(spec: ProblemSpec, config: SolverConfig,
                 critical_r=math.exp(-mu_max),
             )
         if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
-            return c_crit, psi_max
+            return c_crit
         # closer to c0 than this c-space cannot resolve the root (the collar)
         lo = math.sqrt(max(1e-12, 1e-12 * abs(c_crit)))
         f_lo = miss_at(lo)
         if f_lo[0] <= 0.0:
-            return c_crit, None
+            return c_crit
         hi, f_hi = x0, end0
     # the bracket may shrink to a few ulps of x, where c-space ends
     x = find_root_bracketed(miss_at, lo, hi, 0.5 * config.tol_c,
                             xtol=4.0 * _EPS * hi, f_lo=f_lo, f_hi=f_hi)
     c = c_crit + x * x
-    mu, psi = latest[1:] if x == latest[0] else modulus(c)
-    gap = mu - target
+    gap = modulus(c)[0] - target
     if not abs(gap) <= config.tol_c:
         error = DivergentModulus if math.isinf(gap) else NoConvergence
         raise error(
             f"modulus equation unsolved: mu(c) - log(1/r) = {gap:.3g} at "
             f"c - c_crit = {c - c_crit:.3g}")
-    return c, psi
+    return c
 
 
 def _barycentric(x, nodes, values, weights):
@@ -651,9 +641,10 @@ class MinimizerProfile:
 
     def profile(self, s):
         """p(s), scalar or array: on [r, 1] read from the table by
-        barycentric interpolation, elsewhere solved from Psi(p) = log(1/s).
-        A point's value does not depend on the points asked with it.  Raises
-        OutOfAnnulus where s is not a positive finite number."""
+        barycentric interpolation, below r solved from Psi(p) = log(1/s),
+        and Q above 1 (see Psi.radius).  A point's value does not depend on
+        the points asked with it.  Raises OutOfAnnulus where s is not a
+        positive finite number."""
         s = np.asarray(s, dtype=float)
         bad = ~(np.isfinite(s) & (s > 0.0))
         if bad.any():
@@ -685,13 +676,12 @@ def build_profile(
 
     Raises ProfileMismatch when p(r), the solution of Psi(p) = log(1/r),
     misses q by more than 1e-6 Q: the supplied (q, Q, r, c) are then
-    inconsistent.  The Psi table that the latest solve_c built at its root
-    is reused when it has this annulus and this c.
+    inconsistent.  The table is read through the solver's one-entry cache,
+    so right after solve_c on the same metric object and radii it is the
+    table solve_c built at its root.
     """
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    key, _, psi = _LATEST
-    if psi is None or psi.c != c or not _holds(key, metric, q, Q):
-        psi = Psi(metric, q, Q, c)
+    psi = _psi(metric, q, Q, c)
     profile = MinimizerProfile(
         c=c,
         psi=psi,

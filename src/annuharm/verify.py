@@ -51,6 +51,9 @@ __all__ = [
 # absolute residual level below which order fitting is meaningless
 _MIN_ORDER = 1.8
 _NOISE_FLOOR = 1e-9
+# the interior grid of the residual stencils: radii by phases
+_STENCIL_S = 16
+_STENCIL_T = 32
 
 
 @dataclass(frozen=True)
@@ -119,18 +122,17 @@ class _Stencil(NamedTuple):
     p: np.ndarray
 
 
-def _stencil(profile: MinimizerProfile, h: float, n_s: int = 16,
-             n_t: int = 32) -> _Stencil:
-    """The stencil field of step h on an interior n_s x n_t grid, with the
-    profile solved once for both residual kernels."""
+def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
+    """The stencil field of step h on the interior _STENCIL_S x _STENCIL_T
+    grid, with the profile solved once for both residual kernels."""
     r = profile.spec.r
     lo, hi = r + 2.0 * h, 1.0 - 2.0 * h
     if not lo < hi:
         raise StencilOutOfDomain(
             f"stencil step h={h} leaves no interior grid in [{r}, 1]"
         )
-    s = np.linspace(lo, hi, n_s)
-    t = 2.0 * math.pi * np.arange(n_t) / n_t
+    s = np.linspace(lo, hi, _STENCIL_S)
+    t = 2.0 * math.pi * np.arange(_STENCIL_T) / _STENCIL_T
     z = (s[:, None] * np.exp(1j * t)[None, :]).ravel()
     pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
     radii = np.abs(pts)

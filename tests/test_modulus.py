@@ -41,16 +41,20 @@ TWELVE_CONFIGS = [
     ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
 ]
 TOL_C = SolverConfig().tol_c
-# solver's shared slot holding no annulus
-EMPTY_SLOT = ((None, None, None), None, None)
+
+
+def clear_caches():
+    """Empty the solver's caches of the latest critical data and Psi table."""
+    solver._critical.cache_clear()
+    solver._psi.cache_clear()
 
 
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of _critical_info, Psi builds and solve_c (as verify calls it),
-    from an empty slot."""
+    from empty caches."""
     seen = {"critical": 0, "psi": 0, "solve": 0}
-    monkeypatch.setattr(solver, "_LATEST", EMPTY_SLOT)
+    clear_caches()
 
     def counted(key, func):
         def wrapper(*args, **kwargs):
@@ -86,10 +90,11 @@ class TestWork:
     @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
     def test_suite_reads_profile_from_root(self, counts, name, q, Q, r):
         # the suite's profile is the Psi table solve_c built at its root, and
-        # the critical data are those the solve before it scanned
+        # the critical data are those the solve before it scanned; a
+        # conformal solve reads its one table, at c = 0, from the cache
         spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
-        solve_c(spec)
-        builds = counts["psi"]
+        c = solve_c(spec)
+        builds = 0 if c == 0.0 else counts["psi"]
         counts.update(critical=0, psi=0)
         assert run_full_suite(spec).all_passed
         assert counts == {"critical": 0, "psi": builds, "solve": 1}
@@ -128,9 +133,9 @@ class TestWork:
 
 
 class TestSharedSlot:
-    """The slot serves only the inputs it was filled from."""
+    """The solver's caches serve only the inputs they were filled from."""
 
-    def test_alternating_inputs_match_fresh_computations(self, monkeypatch):
+    def test_alternating_inputs_match_fresh_computations(self):
         sphere = parse_metric("sphere")
         # the same name and annulus, another density
         doubled = dataclasses.replace(sphere, eval=lambda y: 2.0 * sphere.eval(y))
@@ -138,7 +143,7 @@ class TestSharedSlot:
                  (sphere, 0.4, 1.0, 0.7), (sphere, 0.5, 1.0, 0.6)]
 
         def fresh(func, *args):
-            monkeypatch.setattr(solver, "_LATEST", EMPTY_SLOT)
+            clear_caches()
             return func(*args)
 
         expected = [(fresh(critical_constant, metric, q, Q),
@@ -150,11 +155,34 @@ class TestSharedSlot:
                 assert critical_constant(metric, q, Q) == c0
                 assert solve_c(ProblemSpec(metric, q, Q, r)) == c
 
+    def test_unhashable_density(self):
+        # a plain dataclass with __call__ has no hash; the caches key a
+        # metric by identity, so its callables need none
+        @dataclasses.dataclass
+        class Scaled:
+            factor: float
+            func: object
+
+            def __call__(self, y):
+                return self.factor * self.func(y)
+
+        sphere = parse_metric("sphere")
+        metric = dataclasses.replace(
+            sphere, eval=Scaled(2.0, sphere.eval),
+            deriv=Scaled(2.0, sphere.deriv), deriv2=Scaled(2.0, sphere.deriv2))
+        spec = ProblemSpec(metric=metric, q=0.5, Q=1.0, r=0.7)
+        c = solve_c(spec)
+        # doubling the density doubles c and leaves the map
+        assert c == pytest.approx(2.0 * solve_c(dataclasses.replace(
+            spec, metric=sphere)), rel=1e-9)
+        assert build_profile(spec, c).psi.metric is metric
+        assert run_full_suite(spec).all_passed
+
     def test_profile_reuses_only_its_own_root_table(self):
         metric = parse_metric("sphere")
         spec = ProblemSpec(metric=metric, q=0.5, Q=1.0, r=0.7)
         c = solve_c(spec)
-        assert build_profile(spec, c).psi is solver._LATEST[2]
+        assert build_profile(spec, c).psi is solver._psi(metric, 0.5, 1.0, c)
         # another c or another annulus: the root table would put p(r) on q
         # exactly
         with pytest.raises(ProfileMismatch):

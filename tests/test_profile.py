@@ -23,6 +23,7 @@ from annuharm import (
     lipschitz_constant,
     modulus_of_c,
     parse_metric,
+    run_full_suite,
     solve_c,
 )
 from annuharm import solver
@@ -138,6 +139,48 @@ def test_profile_rejects_bad_radius(s):
     prof = _solved("inverse_r", 0.5, 1.0, 0.45)
     with pytest.raises(OutOfAnnulus, match="not a positive finite number"):
         prof.profile(s)
+
+
+def test_profile_above_one_is_outer_radius():
+    # log(1/s) <= 0 is clamped to Q, not continued: the fields' slack sends
+    # points like 1 + 1e-13 there (the continued closed form at 1.2 is 1.3737)
+    prof = _solved("euclidean", 0.8, 1.0, 0.9)
+    assert prof.profile(1.2) == 1.0
+    assert prof.profile(1.0 + 1e-13) == 1.0
+
+
+def test_newton_ends_at_two_cycle(monkeypatch):
+    # one point of a 638-point solve in this suite alternated between two
+    # floats 3.747e-16 apart, over the tol of 3.741e-16, for all 60 sweeps
+    sweeps, open_calls = [], []
+    v_of_log, at_v = Psi.v_of_log, Psi.at_v
+
+    def counted_v_of_log(self, target):
+        self._knots  # built by at_v, but not a sweep
+        open_calls.append(0)
+        try:
+            return v_of_log(self, target)
+        finally:
+            sweeps.append(open_calls.pop())
+
+    def counted_at_v(self, v):
+        if open_calls:
+            open_calls[-1] += 1
+        return at_v(self, v)
+
+    monkeypatch.setattr(Psi, "v_of_log", counted_v_of_log)
+    monkeypatch.setattr(Psi, "at_v", counted_at_v)
+    spec = ProblemSpec(metric=parse_metric("sphere"), q=0.30204614794772217,
+                       Q=0.47947107316187854, r=0.8396472813975525)
+    assert run_full_suite(spec).all_passed
+    assert max(sweeps) <= 30
+
+
+def test_newton_budget_raises(monkeypatch):
+    prof = _solved("sphere", 0.5, 1.0, 0.4)
+    monkeypatch.setattr(solver, "_NEWTON_STEPS", 2)
+    with pytest.raises(NoConvergence, match="unresolved after 2 Newton sweeps"):
+        prof.psi.v_of_log(-np.log(np.linspace(0.4, 1.0, 50)))
 
 
 def test_inner_radius_solved_once(monkeypatch):
