@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import OutOfAnnulus
 from .metrics import RadialMetric
-from .numerics import minimize_scalar
+from .numerics import find_root_bracketed, minimize_scalar
 from .solver import MinimizerProfile
 
 __all__ = [
@@ -159,20 +159,43 @@ def lipschitz_constant(
     has the sign of c.  As d(p/s)/ds = (p' - p/s) / s, p/s is monotone and
     its extreme is p(r)/r: sup |Dw| for c <= 0, inf l(Dw) for c > 0.  The
     other constant is the extreme of p' (its min for c <= 0, its max for
-    c > 0), searched by minimize_scalar in the first integral's variable v,
-    where p = y(v) and s = exp(-Psi) are explicit, down to a step of 1e-12
-    of the v span; the endpoints stay candidates.
+    c > 0).  Along the profile p' = sqrt(R(p)) e^{Psi(p)} with R(y) = y^2 +
+    c/rho(y), so d log p'/dy = (R'/2 - sqrt(R)) / R, and its sign is that of
+    T(y) = y - c rho'(y) / (2 rho(y)^2) - sqrt(R(y)), which needs only rho
+    and rho' of the profile's metric.  T is scanned at 1,024 points of the
+    first integral's variable v from p(r) to Q, each sign change refined to
+    1e-12 of the v span, and p' is read at those turning points and at the
+    two ends.
     """
     psi, c = profile.psi, profile.c
-    sign = 1.0 if c <= 0.0 else -1.0
+    rho, drho = psi.metric.eval, psi.metric.deriv
 
-    def slope(v):
-        return sign * psi.slope(np.exp(-psi.at_v(v)), psi.y_of_v(v))
+    def turning(v):
+        y = psi.y_of_v(v)
+        density = rho(y)
+        radicand = y * y + c / density
+        return (y - 0.5 * c * drho(y) / (density * density)
+                - np.sqrt(np.maximum(radicand, 0.0)))
 
     lo, hi = profile.inner_v, psi.edges[-1]
-    _, extreme = minimize_scalar(slope, lo, hi, 1e-12 * (hi - lo))
+    v = np.linspace(lo, hi, 1024)
+    t = turning(v)
+    sign = np.sign(t)
+    zero = sign == 0.0
+    # p' is stationary along a run of zeros of T (all of [q, Q] for c = 0):
+    # the run's ends stand for it
+    ends = zero[1:-1] & ~(zero[:-2] & zero[2:])
+    candidates = [lo, hi, *v[1:-1][ends]]
+    xtol = 1e-12 * (hi - lo)
+    for k in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+        candidates.append(find_root_bracketed(
+            turning, v[k], v[k + 1], 0.0, xtol=xtol, f_lo=t[k],
+            f_hi=t[k + 1]))
+    candidates = np.array(candidates)
+    slopes = psi.slope(np.exp(-psi.at_v(candidates)), psi.y_of_v(candidates))
+    extreme = slopes.min() if c <= 0.0 else slopes.max()
     edge = profile.inner / profile.spec.r
-    return (edge, extreme) if c <= 0.0 else (-extreme, edge)
+    return (edge, float(extreme)) if c <= 0.0 else (float(extreme), edge)
 
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:

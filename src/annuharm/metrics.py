@@ -40,9 +40,11 @@ class RadialMetric:
 
     ``eval``, ``deriv`` and ``deriv2`` accept floats or numpy arrays and
     return matching shapes; the density is positive on the open interval
-    ``valid_interval``.  A metric compares and hashes by identity: two
-    metrics may share a name but not a density, and any callable, hashable
-    or not, may serve as one.
+    ``valid_interval``.  ``deriv`` is read by the Lipschitz constants (the
+    turning points of p'), the general harmonic residual and the curvature,
+    ``deriv2`` by the curvature.  A metric compares and hashes by identity:
+    two metrics may share a name but not a density, and any callable,
+    hashable or not, may serve as one.
     """
 
     eval: Callable

@@ -311,9 +311,14 @@ class Psi:
     def v_of_log(self, target):
         """v with Psi(y(v)) = target (target = log(1/s), vectorized).
 
-        Safeguarded Newton in v: the knots of the panel table bracket the
-        root and interpolating Psi linearly in y between them starts the
-        iteration; a step leaving the bracket is replaced by bisection.
+        Safeguarded Newton: the knots of the panel table bracket the root in
+        v and interpolating Psi linearly in y between them starts the
+        iteration.  Above the critical constant the step is taken in y,
+        where dPsi/dy = -1/sqrt(radicand) is finite and nonzero at the
+        anchor; dPsi/dv vanishes there, so a step in v would gain one bit
+        per sweep next to it.  At the critical constant the radicand
+        vanishes at the anchor, and the step stays in v.  A step leaving the
+        bracket is replaced by bisection in v.
         Below q the bracket extends to a floor, and where the radicand turns
         negative the profile stops at its zero, as the profile equation does.
         Raises NoConvergence for a point unresolved after _NEWTON_STEPS
@@ -336,6 +341,9 @@ class Psi:
                       y_lo + frac * (y_hi - y_lo))
         v = np.clip(self.v_of_y(y0), lo, hi)
         tol = 2.0**-50 * (knots[-1] - knots[0])
+        in_y = self.c > self.critical_c
+        # a few ulps of the profile's largest radius
+        tol_y = 2.0**-50 * self.Q
         # the profile cannot leave q when the radicand vanishes there
         active = ~(below & (slope_q == 0.0))
         v[~active] = knots[0]
@@ -351,15 +359,22 @@ class Psi:
             lo[idx] = np.where(left, va, lo[idx])
             hi[idx] = np.where(left, hi[idx], va)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(miss == 0.0, 0.0, miss / self.g(va))
-            new = va + step
+                if in_y:
+                    y = self.y_of_v(va)
+                    step = miss * np.sqrt(np.maximum(self._radicand(y), 0.0))
+                    new = self.v_of_y(y + step)
+                    converged = np.abs(step) <= tol_y
+                else:
+                    step = np.where(miss == 0.0, 0.0, miss / self.g(va))
+                    new = va + step
+                    converged = np.abs(step) <= tol
             # a converged step may round onto the bracket edge it just set
-            keep = (np.abs(step) <= tol) | ((new > lo[idx]) & (new < hi[idx]))
+            keep = converged | ((new > lo[idx]) & (new < hi[idx]))
             new = np.where(keep, new, 0.5 * (lo[idx] + hi[idx]))
             v[idx] = new
             # a step within tol ends a point too: rounding can leave it
             # alternating between two floats just over tol apart
-            done = ((np.abs(step) <= tol) | (np.abs(new - va) <= tol)
+            done = (converged | (np.abs(new - va) <= tol)
                     | (hi[idx] - lo[idx] <= tol))
             active[idx[done]] = False
         if active.any():

@@ -11,6 +11,7 @@ from annuharm import (
     OutOfAnnulus,
     PolarGrid,
     ProblemSpec,
+    RadialMetric,
     area,
     build_profile,
     derivatives_point,
@@ -22,6 +23,7 @@ from annuharm import (
     map_point,
     operator_norms,
     parse_metric,
+    solve_c,
 )
 from annuharm.fields import field_arrays
 
@@ -199,6 +201,23 @@ class TestLipschitzConstant:
         edge = prof.inner / prof.spec.r
         sup_op, inf_lo = lipschitz_constant(prof, prof.spec.metric)
         assert (sup_op if prof.c <= 0.0 else inf_lo) == edge
+
+    @pytest.mark.parametrize("r", [0.5, 0.6, 0.8])
+    def test_interior_extreme(self, r):
+        # max p' lies inside: at r = 0.6 it is 6.63194 near s = 0.76, while
+        # the ends give 6.196 and 5.164; no built-in metric puts it inside
+        wavy = RadialMetric(
+            eval=lambda y: 1.0 + 0.5 * np.sin(6.0 * y),
+            deriv=lambda y: 3.0 * np.cos(6.0 * y),
+            deriv2=lambda y: -18.0 * np.sin(6.0 * y),
+            valid_interval=(0.0, math.inf), name="wavy")
+        spec = ProblemSpec(metric=wavy, q=1.0, Q=3.0, r=r)
+        prof = build_profile(spec, solve_c(spec))
+        assert prof.c > 0.0
+        s = np.linspace(r, 1.0, 100_001)
+        sampled = np.max(prof.psi.slope(s, prof.psi.radius(s)))
+        sup_op, _ = lipschitz_constant(prof, wavy)
+        assert sampled <= sup_op <= sampled * (1.0 + 1e-8)
 
 
 class TestKKConstants:

@@ -149,10 +149,10 @@ def test_profile_above_one_is_outer_radius():
     assert prof.profile(1.0 + 1e-13) == 1.0
 
 
-def test_newton_ends_at_two_cycle(monkeypatch):
-    # one point of a 638-point solve in this suite alternated between two
-    # floats 3.747e-16 apart, over the tol of 3.741e-16, for all 60 sweeps
-    sweeps, open_calls = [], []
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The Newton sweeps (at_v calls) of each v_of_log call, in call order."""
+    counts, open_calls = [], []
     v_of_log, at_v = Psi.v_of_log, Psi.at_v
 
     def counted_v_of_log(self, target):
@@ -161,7 +161,7 @@ def test_newton_ends_at_two_cycle(monkeypatch):
         try:
             return v_of_log(self, target)
         finally:
-            sweeps.append(open_calls.pop())
+            counts.append(open_calls.pop())
 
     def counted_at_v(self, v):
         if open_calls:
@@ -170,10 +170,27 @@ def test_newton_ends_at_two_cycle(monkeypatch):
 
     monkeypatch.setattr(Psi, "v_of_log", counted_v_of_log)
     monkeypatch.setattr(Psi, "at_v", counted_at_v)
+    return counts
+
+
+def test_newton_ends_at_two_cycle(sweeps):
+    # one point of a 638-point solve in this suite alternated between two
+    # floats 3.747e-16 apart, over the tol of 3.741e-16, for all 60 sweeps
     spec = ProblemSpec(metric=parse_metric("sphere"), q=0.30204614794772217,
                        Q=0.47947107316187854, r=0.8396472813975525)
     assert run_full_suite(spec).all_passed
-    assert max(sweeps) <= 30
+    assert max(sweeps) <= 6
+
+
+def test_newton_in_y_at_anchor(sweeps):
+    # the anchor is q, where dPsi/dv vanishes and a Newton step in v gains
+    # one bit per sweep; dPsi/dy is finite there, and the step in y is not
+    # slowed
+    spec = ProblemSpec(metric=parse_metric("inverse_r"), q=0.12821603706398343,
+                       Q=0.4279351610631809, r=0.1521647446732568)
+    prof = build_profile(spec, solve_c(spec))
+    assert prof.psi.anchor == spec.q and prof.c > prof.critical_c
+    assert sweeps == [sweeps[0]] and sweeps[0] <= 2
 
 
 def test_newton_budget_raises(monkeypatch):
