@@ -45,7 +45,6 @@ from .metrics import (
 )
 from .numerics import (
     find_root_bracketed,
-    integrate_adaptive,
     minimize_scalar,
 )
 from .solver import (

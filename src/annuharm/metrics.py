@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, OutOfDomain, UnknownMetric
-from .numerics import integrate_adaptive, minimize_scalar
+from .numerics import _adaptive_core, _panels, minimize_scalar
 
 __all__ = [
     "RadialMetric",
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _SUP_TOL = 1e-12  # grid step of the last zoom scan for sup/inf refinement
-_AREA_TOL = 1e-11
 
 # validity interval of the hyperbolic density stops just short of the unit
 # circle, where it blows up
@@ -204,11 +203,13 @@ def curvature(metric: RadialMetric, y):
 
 
 def area(metric: RadialMetric, q: float, Q: float) -> float:
-    """Metric area of the annulus with radii [q, Q]: 2 pi int rho(y) y dy."""
+    """Metric area of the annulus with radii [q, Q]: 2 pi int rho(y) y dy,
+    integrated adaptively on [q, Q] to 1e-13 relative to one Gauss rule
+    over the whole interval, so the cost does not depend on the scale."""
     _check_interval(metric, q, Q)
-    return 2.0 * math.pi * integrate_adaptive(
-        lambda y: metric.eval(y) * y, q, Q, _AREA_TOL
-    )
+    integrand = lambda y: metric.eval(y) * y
+    (scale, _, _), = _panels(integrand, [(q, Q)])
+    return 2.0 * math.pi * _adaptive_core(integrand, q, Q, 1e-13 * scale)[0]
 
 
 def approx_analytic_constant(metric: RadialMetric, q: float, Q: float) -> float:

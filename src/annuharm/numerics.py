@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive quadrature with integrable-endpoint handling, bracketed root
-finding and scalar minimization by a scan and zoom scans.  Tolerances are
-absolute-error targets; every routine either meets its target, stops at the
-rounding floor of its integrand, or raises.
+Adaptive Gauss quadrature on a finite interval, bracketed root finding and
+scalar minimization by a scan and zoom scans.  Integrands and scanned
+functions are called on numpy arrays only.  Every routine either meets its
+tolerance, stops at the rounding floor of its integrand, or raises.
 """
 
 from __future__ import annotations
@@ -17,46 +17,16 @@ import numpy as np
 from .errors import DivergentIntegral, NoBracket, NoConvergence
 
 __all__ = [
-    "integrate_adaptive",
     "find_root_bracketed",
     "minimize_scalar",
 ]
 
 _EPS = np.finfo(float).eps
 
-
-class _ArrayFunc:
-    """Adapter calling a scalar-or-vector callable on numpy arrays.
-
-    The first array call probes whether the callable is numpy-aware; if not,
-    evaluation falls back to a per-element loop.
-    """
-
-    def __init__(self, f: Callable[[float], float]):
-        self._f = f
-        self._vectorized: bool | None = None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._vectorized is None or self._vectorized:
-            try:
-                y = np.asarray(self._f(x), dtype=float)
-                if y.shape == x.shape:
-                    self._vectorized = True
-                    return y
-            except (TypeError, ValueError):
-                pass
-            self._vectorized = False
-        out = np.array([self._f(float(v)) for v in x.ravel()], dtype=float)
-        return out.reshape(x.shape)
-
-
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 1_000_000
-_SINGULAR_OFFSET = 1e-12
-
 
 # both rules' nodes: the integrand's call overhead dominates small panels,
 # so all nodes of the panels being scored go through one call
@@ -64,7 +34,7 @@ _GAUSS_NODES = np.concatenate((_GAUSS_LO[0], _GAUSS_HI[0]))
 _N_LO = _GAUSS_LO[0].size
 
 
-def _panels(F: _ArrayFunc, bounds) -> list[tuple[float, float, float]]:
+def _panels(F: Callable, bounds) -> list[tuple[float, float, float]]:
     """(value, error estimate, rounding floor) of the paired Gauss rules on
     each (lo, hi).  F returns its values, or the pair (values, rounding
     uncertainty of the values); the floor is the fine rule applied to that
@@ -86,7 +56,7 @@ def _panels(F: _ArrayFunc, bounds) -> list[tuple[float, float, float]]:
 
 
 def _adaptive_core(
-    F: _ArrayFunc, a: float, b: float, tol: float
+    F: Callable, a: float, b: float, tol: float
 ) -> tuple[float, np.ndarray]:
     """Globally adaptive bisection with a paired Gauss rule per panel.
 
@@ -147,55 +117,6 @@ def _adaptive_core(
     if not np.isfinite(total):
         raise DivergentIntegral(f"integral over [{a}, {b}] is not finite")
     return total, panels[np.argsort(panels[:, 0])]
-
-
-def _divergence_guard(g: Callable, endpoint: float, inward: float) -> None:
-    """Reject endpoint singularities stronger than an integrable 1/sqrt.
-
-    g is the integrand after the substitution y = endpoint + inward u^2,
-    such as g(u) = 2 u f(endpoint + inward u^2), and is checked at inward
-    u for an offset u just off the endpoint.  The offset is widened only as
-    far as floating-point representability of endpoint + u^2 requires,
-    keeping the acceptance threshold scale-equivalent to |g(1e-12)| <= 1e12.
-    """
-    u = max(_SINGULAR_OFFSET, math.sqrt(100.0 * _EPS * max(abs(endpoint), 1.0)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = float(g(np.array([inward * u]))[0])
-    if not abs(value) <= 1.0 / u:
-        raise DivergentIntegral(
-            f"endpoint singularity at {endpoint} is not integrable"
-        )
-
-
-def _integrate_singular(F: _ArrayFunc, endpoint: float, inward: float,
-                        span: float, tol: float) -> float:
-    """Integral over the span next to an endpoint, by y = endpoint +/- u^2
-    (inward = +1 for the left end, -1 for the right one)."""
-    transformed = _ArrayFunc(lambda u: 2.0 * u * F(endpoint + inward * u * u))
-    _divergence_guard(transformed, endpoint, 1.0)
-    return _adaptive_core(transformed, 0.0, math.sqrt(span), tol)[0]
-
-
-def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> float:
-    """Integrate f over [a, b] to absolute error tol.
-
-    Each half of [a, b] is integrated after the substitution y = a + u^2
-    (resp. y = b - u^2), which is smooth for a smooth f and removes an
-    integrable 1/sqrt singularity at either endpoint.
-
-    Raises NoConvergence when the panel budget is exhausted and
-    DivergentIntegral when an endpoint blowup is too strong to integrate.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)) or b <= a:
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    F = _ArrayFunc(f)
-    mid = 0.5 * (a + b)
-    return _integrate_singular(F, a, 1.0, mid - a, 0.5 * tol) + \
-        _integrate_singular(F, b, -1.0, b - mid, 0.5 * tol)
 
 
 _Value = float | tuple[float, float]
@@ -270,27 +191,34 @@ def _winner(y: np.ndarray) -> int:
     return int(np.nanargmin(y)) if math.isnan(y[k]) else k
 
 
+def _scan(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """f at the points xs, one value per point."""
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(f"f returned shape {ys.shape} on {xs.size} points; "
+                         f"it must take an array and return one value per point")
+    return ys
+
+
 def minimize_scalar(
-    f: Callable[[float], float], a: float, b: float, tol: float
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
 ) -> tuple[float, float]:
     """Global-scan minimization on [a, b]: a 1024-point scan, then 33-point
     zoom scans around the latest winner until their grid step is at most
-    tol.  Returns (argmin, min) of the last scan; an endpoint stays on every
-    scan that zooms in on it.
+    tol.  f is called on arrays and must return one value per point (else
+    ValueError).  Returns (argmin, min) of the last scan; an endpoint stays
+    on every scan that zooms in on it.
     """
     if not (np.isfinite(a) and np.isfinite(b)) or b < a:
         raise ValueError(f"need finite a <= b, got [{a}, {b}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if b == a:
-        return a, float(f(a))
-    F = _ArrayFunc(f)
     xs = np.linspace(a, b, 1024)
-    ys = F(xs)
+    ys = _scan(f, xs)
     k = _winner(ys)
     while xs[1] - xs[0] > tol:
         # 33 points across the winner's neighbours: the step shrinks >= 16-fold
         xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)], 33)
-        ys = F(xs)
+        ys = _scan(f, xs)
         k = _winner(ys)
     return float(xs[k]), float(ys[k])

@@ -38,7 +38,6 @@ from .numerics import (
     _EPS,
     _GAUSS_HI,
     _adaptive_core,
-    _divergence_guard,
     find_root_bracketed,
     minimize_scalar,
 )
@@ -72,6 +71,8 @@ _INTEGRAL_TOL = 1e-13
 # relative closeness of c to the critical constant below which the modulus
 # integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
+# the offset from the anchor at which _divergence_guard probes g
+_SINGULAR_OFFSET = 1e-12
 _NEWTON_STEPS = 60
 # the smallest normal float
 _TINY = np.finfo(float).tiny
@@ -178,6 +179,24 @@ def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
     """The most negative admissible variational constant,
     -min over [q, Q] of y^2 rho(y); always strictly negative."""
     return _critical(metric, q, Q)[1]
+
+
+def _divergence_guard(g, endpoint: float, inward: float) -> None:
+    """Reject endpoint singularities stronger than an integrable 1/sqrt.
+
+    g is the integrand after the substitution y = endpoint + inward u^2,
+    such as g(u) = 2 u f(endpoint + inward u^2), and is checked at inward
+    u for an offset u just off the endpoint.  The offset is widened only as
+    far as floating-point representability of endpoint + u^2 requires,
+    keeping the acceptance threshold scale-equivalent to |g(1e-12)| <= 1e12.
+    """
+    u = max(_SINGULAR_OFFSET, math.sqrt(100.0 * _EPS * max(abs(endpoint), 1.0)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = float(g(np.array([inward * u]))[0])
+    if not abs(value) <= 1.0 / u:
+        raise DivergentIntegral(
+            f"endpoint singularity at {endpoint} is not integrable"
+        )
 
 
 class Psi:
@@ -570,14 +589,15 @@ def _barycentric(x, nodes, values, weights):
     return p
 
 
-def _classify(c: float, c_crit: float, tol_c: float) -> str:
-    if abs(c) <= tol_c:
+def _classify(c: float, c_crit: float) -> str:
+    """The class of c as solve_c returns it: exactly 0 for a conformal pair
+    and exactly c0 for a critical one, so no tolerance (which would carry
+    the units of c) decides a class."""
+    if c == 0.0:
         return CONFORMAL
-    if c - c_crit <= tol_c:
+    if c == c_crit:
         return CRITICAL
-    if c > tol_c:
-        return EXPANDING
-    return SUBCRITICAL
+    return EXPANDING if c > 0.0 else SUBCRITICAL
 
 
 @dataclass(frozen=True)
@@ -599,14 +619,34 @@ class MinimizerProfile:
     critical_c: float
 
     @cached_property
+    def _solved_inner(self) -> tuple[float, float]:
+        """(v, y(v)) with Psi(y(v)) = log(1/r): p(r) as solved, once."""
+        v = float(self.psi.v_of_log(-np.log(self.spec.r))[0])
+        return v, float(self.psi.y_of_v(v))
+
+    @cached_property
+    def _inner(self) -> tuple[float, float]:
+        """(inner_v, inner): the solved p(r) where it meets q within 1e-6 Q,
+        else q itself.  build_profile admits a p(r) that far from q only
+        where Psi is so flat next to q that a modulus gap within tol_c moves
+        it there; the boundary condition p(r) = q then places the inner end
+        (the table keeps the solved p(r))."""
+        v, p = self._solved_inner
+        q = self.spec.q
+        if abs(p - q) > 1e-6 * self.spec.Q:
+            return float(self.psi.v_of_y(q)), q
+        return v, p
+
+    @property
     def inner_v(self) -> float:
-        """v at s = r, where p(r) = y(v): solved once per profile."""
-        return float(self.psi.v_of_log(-np.log(self.spec.r))[0])
+        """v at ``inner``."""
+        return self._inner[0]
 
     @property
     def inner(self) -> float:
-        """p(r), which meets q for a solved c."""
-        return float(self.psi.y_of_v(self.inner_v))
+        """p(r) at the inner end, where the edge stretch p(r)/r, the p' scan
+        and the energy start (see ``_inner``)."""
+        return self._inner[1]
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -689,9 +729,17 @@ def build_profile(
     """Build the first integral Psi for c and package the profile read from
     it (profile, inverse, classification).
 
-    Raises ProfileMismatch when p(r), the solution of Psi(p) = log(1/r),
-    misses q by more than 1e-6 Q: the supplied (q, Q, r, c) are then
-    inconsistent.  The table is read through the solver's one-entry cache,
+    The class is read from c as solve_c returns it: Conformal for c == 0,
+    Critical for c == c0 (both exact returns), else by the sign of c.
+    Raises ProfileMismatch when the supplied (q, Q, r, c) are inconsistent:
+    the modulus gap Psi(q) - log(1/r), which solve_c holds within tol_c,
+    exceeds tol_c plus a few ulps of log(1/r), and p(r), the solution of
+    Psi(p) = log(1/r), misses q by more than 1e-6 Q.  Either alone is not
+    enough: where Psi is flat next to q, a gap within tol_c moves p(r) far
+    from q, and the profile's inner end is then q itself (see
+    ``MinimizerProfile._inner``); and for a root inside its collar next to
+    c0 solve_c returns c0, where mu is steep, so the gap exceeds tol_c while
+    p(r) meets q.  The table is read through the solver's one-entry cache,
     so right after solve_c on the same metric object and radii it is the
     table solve_c built at its root.
     """
@@ -700,17 +748,20 @@ def build_profile(
     profile = MinimizerProfile(
         c=c,
         psi=psi,
-        classification=_classify(c, psi.critical_c, config.tol_c),
+        classification=_classify(c, psi.critical_c),
         spec=spec,
         critical_c=psi.critical_c,
     )
-    mismatch = abs(profile.inner - q)
-    if mismatch > 1e-6 * Q:
+    target = math.log(1.0 / r)
+    gap = psi.total - target
+    reached = profile._solved_inner[1]
+    mismatch = abs(reached - q)
+    if abs(gap) > config.tol_c + 4.0 * _EPS * target and mismatch > 1e-6 * Q:
         raise ProfileMismatch(
-            f"profile reached p(r)={profile.inner:.12g}, expected q={q:.12g} "
+            f"profile reached p(r)={reached:.12g}, expected q={q:.12g} "
             f"(off by {mismatch:.3g}); modulus gap Psi(q) - log(1/r) = "
-            f"{psi.total - math.log(1.0 / r):.3g} at c - c_crit = "
-            f"{c - psi.critical_c:.3g}; (q, Q, r, c) are inconsistent"
+            f"{gap:.3g} at c - c_crit = {c - psi.critical_c:.3g}; "
+            f"(q, Q, r, c) are inconsistent"
         )
     return profile
 

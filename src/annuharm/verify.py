@@ -299,11 +299,11 @@ def minimality_probe(
     return report
 
 
-def _modulus_sign_record(q: float, Q: float, r: float, c: float,
-                         tol_c: float) -> CheckRecord:
-    """sign(c) against sign(log(Q/q) - log(1/r)) for a solved c."""
+def _modulus_sign_record(q: float, Q: float, r: float, c: float) -> CheckRecord:
+    """sign(c) against sign(log(Q/q) - log(1/r)) for a solved c, which is
+    exactly 0 for a conformal pair (a tolerance would carry the units of c)."""
     gap = math.log(Q / q) - math.log(1.0 / r)
-    if abs(c) <= tol_c:
+    if c == 0.0:
         agree = abs(gap) <= 1e-6
     elif c > 0.0:
         agree = gap > -1e-9
@@ -335,7 +335,7 @@ def modulus_equivalence_check(
                 )
             )
             continue
-        report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
+        report.checks.append(_modulus_sign_record(q, Q, r, c))
     return report
 
 
@@ -395,7 +395,7 @@ def run_full_suite(
     # profile endpoint and inverse round trip
     report.checks.append(
         CheckRecord.measure(
-            "profile_inner_endpoint", abs(profile.inner - q), 1e-6 * Q,
+            "profile_inner_endpoint", abs(profile.profile(r) - q), 1e-6 * Q,
             "p(r) must meet the inner target radius",
         )
     )
@@ -525,7 +525,7 @@ def run_full_suite(
         )
 
     # modulus comparison sign law for this configuration
-    report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
+    report.checks.append(_modulus_sign_record(q, Q, r, c))
 
     # radial local minimality
     report.extend(

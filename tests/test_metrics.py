@@ -118,6 +118,20 @@ class TestArea:
         assert whole == pytest.approx(split, abs=1e-9)
 
 
+    @pytest.mark.parametrize("a", [-3.0, -2.0, -1.0, 0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_power_scale_covariant(self, a, scale):
+        # the tolerance is relative, so the area is as accurate at any scale
+        # (power:4 on [50.1, 100] once took seconds on an absolute one)
+        q, Q = 0.501 * scale, scale
+        if a == -2.0:
+            exact = 2.0 * math.pi * math.log(Q / q)
+        else:
+            exact = 2.0 * math.pi * (Q ** (a + 2) - q ** (a + 2)) / (a + 2)
+        got = area(parse_metric(f"power:{a:g}"), q, Q)
+        assert abs(got - exact) <= 1e-13 * exact
+
+
 class TestApproxAnalyticConstant:
     def test_euclidean_zero(self):
         assert approx_analytic_constant(parse_metric("euclidean"), 0.5, 1.0) == 0.0

@@ -6,67 +6,41 @@ import numpy as np
 import pytest
 
 from annuharm import (
-    DivergentIntegral,
     NoBracket,
     find_root_bracketed,
-    integrate_adaptive,
     minimize_scalar,
     parse_metric,
 )
-from annuharm.numerics import _adaptive_core, _ArrayFunc
+from annuharm.numerics import _adaptive_core
 
 # closed-form values the quadrature must reproduce:
-#   int_0.8^1 dy/sqrt(y^2-0.64) = [log(y+sqrt(y^2-0.64))] = log 2
-#   int_0.5^1 dy/sqrt(y^2+y/2)  = [2 log(sqrt(y)+sqrt(y+1/2))]
-LOG2 = math.log(2.0)
+#   int_0.5^1 dy/sqrt(y^2+y/2) = [2 log(sqrt(y)+sqrt(y+1/2))]
 MU_INVR_HALF = 2.0 * (math.log(1.0 + math.sqrt(1.5))
                       - math.log(math.sqrt(0.5) + 1.0))  # 0.5296844955220916
 
 
 class TestIntegrateAdaptive:
-    def test_polynomial(self):
-        assert integrate_adaptive(lambda y: y, 0.0, 1.0, 1e-10) == pytest.approx(
-            0.5, abs=1e-9)
+    """_adaptive_core on smooth integrands, called on arrays."""
 
-    def test_left_singular_sqrt(self):
-        got = integrate_adaptive(
-            lambda y: 1.0 / np.sqrt(np.maximum(y * y - 0.64, 0.0)),
-            0.8, 1.0, 1e-10)
-        assert abs(got - LOG2) <= 1e-9
+    def test_polynomial(self):
+        total, _ = _adaptive_core(lambda y: y, 0.0, 1.0, 1e-10)
+        assert total == pytest.approx(0.5, abs=1e-9)
 
     def test_smooth_sqrt_combination(self):
-        got = integrate_adaptive(lambda y: 1.0 / np.sqrt(y * y + 0.5 * y),
-                                 0.5, 1.0, 1e-10)
-        assert abs(got - MU_INVR_HALF) <= 1e-9
-
-    def test_right_singular(self):
-        # int_0^1 dy/sqrt(1-y) = 2
-        got = integrate_adaptive(lambda y: 1.0 / np.sqrt(np.maximum(1.0 - y, 0.0)),
-                                 0.0, 1.0, 1e-10)
-        assert abs(got - 2.0) <= 1e-9
-
-    def test_scalar_only_callable(self):
-        got = integrate_adaptive(lambda y: math.exp(y), 0.0, 1.0, 1e-10)
-        assert abs(got - (math.e - 1.0)) <= 1e-9
+        total, _ = _adaptive_core(lambda y: 1.0 / np.sqrt(y * y + 0.5 * y),
+                                  0.5, 1.0, 1e-10)
+        assert abs(total - MU_INVR_HALF) <= 1e-9
 
     def test_smooth_with_large_endpoint_value(self):
         # 1/(y + 1e-7) is smooth on [0, 1] but 1e7 at the left end
-        got = integrate_adaptive(lambda y: 1.0 / (y + 1e-7), 0.0, 1.0, 1e-10)
-        assert abs(got - math.log1p(1e7)) <= 1e-9
-
-    def test_divergent_endpoint(self):
-        with pytest.raises(DivergentIntegral):
-            integrate_adaptive(lambda y: 1.0 / y, 0.0, 1.0, 1e-10)
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda y: y, 1.0, 1.0, 1e-10)
+        total, _ = _adaptive_core(lambda y: 1.0 / (y + 1e-7), 0.0, 1.0, 1e-10)
+        assert abs(total - math.log1p(1e7)) <= 1e-9
 
     def test_core_returns_tiling_panels(self):
         # a boundary layer forces refinement; the accepted panels must tile
         # [0, 1] in order and sum to the returned integral
-        f = _ArrayFunc(lambda y: 1.0 / np.sqrt(y + 1e-6))
-        total, panels = _adaptive_core(f, 0.0, 1.0, 1e-12)
+        total, panels = _adaptive_core(lambda y: 1.0 / np.sqrt(y + 1e-6),
+                                       0.0, 1.0, 1e-12)
         assert len(panels) > 1
         assert panels[0, 0] == 0.0 and panels[-1, 1] == 1.0
         assert np.all(panels[1:, 0] == panels[:-1, 1])
@@ -150,6 +124,13 @@ class TestMinimizeScalar:
         minimize_scalar(weight, q, Q, 1e-13)
         assert len(sizes) <= 12
         assert min(sizes) > 1
+
+    @pytest.mark.parametrize("f", [lambda y: 1.0, lambda y: np.sum(y),
+                                   lambda y: y[:-1]])
+    def test_rejects_one_value_for_many_points(self, f):
+        # f is called on arrays only: a scalar-only callable is a usage error
+        with pytest.raises(ValueError, match="shape"):
+            minimize_scalar(f, 0.0, 1.0, 1e-10)
 
     def test_minimum_inside_first_cell(self):
         # the minimum lies between the scan's first two nodes; zooming on

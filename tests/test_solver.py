@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from annuharm import (
     BelowCritical,
@@ -13,13 +14,14 @@ from annuharm import (
     OutOfDomain,
     ProblemSpec,
     ProfileMismatch,
+    RadialMetric,
     SolverConfig,
     build_profile,
     critical_constant,
     critical_inner_radius,
     euclidean_nitsche_map,
     find_root_bracketed,
-    integrate_adaptive,
+    lipschitz_constant,
     modulus_of_c,
     parse_metric,
     solve_c,
@@ -167,6 +169,19 @@ class TestCriticalInnerRadius:
     def test_divergent_modulus_signals_zero(self):
         assert critical_inner_radius(parse_metric("power:-2"), 0.5, 1.0) == 0.0
 
+    def test_double_root_at_endpoint_diverges(self):
+        # y^2 rho = 1 + (y - q)^2 has its minimum at q with zero slope, so the
+        # critical modulus diverges like log; only the endpoint guard sees it,
+        # since panels settled at the rounding floor would sum to a finite mu
+        n = lambda y: 1.0 + (y - 0.5) ** 2
+        metric = RadialMetric(
+            eval=lambda y: n(y) / y**2,
+            deriv=lambda y: 2.0 * (y - 0.5) / y**2 - 2.0 * n(y) / y**3,
+            deriv2=lambda y: (2.0 / y**2 - 8.0 * (y - 0.5) / y**3
+                              + 6.0 * n(y) / y**4),
+            valid_interval=(0.0, math.inf), name="endpoint double root")
+        assert critical_inner_radius(metric, 0.5, 1.0) == 0.0
+
 
 class TestBuildProfile:
     def test_conformal_identity(self, euclid_conformal):
@@ -215,17 +230,49 @@ class TestBuildProfile:
             prof = build_profile(spec, solve_c(spec))
             assert prof.classification == expected
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-4, 1.0, 1e3])
+    def test_classifications_scale_free(self, scale):
+        # (q, Q) -> scale (q, Q) maps c -> scale^2 c and keeps the modulus,
+        # so the class, read from solve_c's exact returns, stays
+        cases = [(0.5, "Critical"), (0.6, "Subcritical"), (0.8, "Conformal"),
+                 (0.9, "Expanding")]
+        for r, expected in cases:
+            spec = ProblemSpec(metric=EUCLID, q=0.8 * scale, Q=scale, r=r)
+            assert build_profile(spec, solve_c(spec)).classification == expected
+
+    @pytest.mark.parametrize("name, q, Q, r", [
+        ("power:300", 0.5, 1.0, 0.6),
+        ("power:4", 0.2105, 9.07, float(np.linspace(0.5, 0.95, 100)[89])),
+    ])
+    def test_flat_first_integral_is_no_mismatch(self, name, q, Q, r):
+        # Psi is flat next to q, so a modulus gap within tol_c leaves the
+        # solved p(r) further than 1e-6 Q from q: the data are consistent all
+        # the same, and the boundary condition p(r) = q places the inner end
+        metric = parse_metric(name)
+        spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
+        c = solve_c(spec)
+        prof = build_profile(spec, c)
+        assert abs(prof.psi.total - math.log(1.0 / r)) <= 1e-9
+        assert prof.inner == q
+        assert prof.classification == "Expanding"
+        # c > 0: sup |Dw| is p' at the inner end, inf l(Dw) the edge q/r
+        sup, inf = lipschitz_constant(prof, metric)
+        assert sup == pytest.approx(math.sqrt(q * q + c / metric.eval(q)) / r,
+                                    rel=1e-9)
+        assert inf == q / r
+
     def test_agrees_with_quadrature_inversion(self, sphere_expanding):
         # dual route: root-find p from log(1/s) = int_p^Q dy/sqrt(y^2 + c/rho)
-        # by plain quadrature, without the profile's panel table
+        # by scipy's quadrature, which shares no code with the profile
         spec, c = sphere_expanding.spec, sphere_expanding.c
         rho = spec.metric.eval
-        integrand = lambda y: 1.0 / np.sqrt(y * y + c / rho(y))
+        integrand = lambda y: 1.0 / math.sqrt(y * y + c / rho(y))
         for s in np.linspace(spec.r, 1.0, 9)[1:-1]:
             target = math.log(1.0 / s)
             p = find_root_bracketed(
-                lambda x: integrate_adaptive(integrand, x, spec.Q, 1e-13)
-                - target, spec.q, spec.Q - 1e-9, 1e-14)
+                lambda x: quad(integrand, x, spec.Q, epsabs=1e-14,
+                               epsrel=1e-14)[0] - target,
+                spec.q, spec.Q - 1e-9, 1e-14)
             assert abs(sphere_expanding.profile(s) - p) <= 1e-12
 
 

@@ -160,6 +160,14 @@ class TestModulusEquivalence:
         assert report.all_passed
         assert len(report.checks) == 3
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-4, 1.0, 1e3])
+    def test_three_regimes_scale_free(self, scale):
+        # c scales by scale^2 with (q, Q); at 1e-5 the expanding c is below
+        # the default tol_c, and must still not be read as conformal
+        report = modulus_equivalence_check(EUCLID, 0.8 * scale, scale,
+                                           [0.9, 0.8, 0.6])
+        assert report.all_passed
+
     def test_skips_below_critical(self):
         report = modulus_equivalence_check(EUCLID, 0.8, 1.0, [0.4, 0.6])
         assert report.all_passed
