@@ -161,8 +161,8 @@ def lipschitz_constant(
     other constant is the extreme of p' (its min for c <= 0, its max for
     c > 0).  Along the profile p' = sqrt(R(p)) e^{Psi(p)} with R(y) = y^2 +
     c/rho(y), so d log p'/dy = (R'/2 - sqrt(R)) / R, and its sign is that of
-    T(y) = y - c rho'(y) / (2 rho(y)^2) - sqrt(R(y)), which needs only rho
-    and rho' of the profile's metric.  T is scanned at 1,024 points of the
+    T(y) = y - c (rho'(y)/rho(y)) / (2 rho(y)) - sqrt(R(y)), which needs only
+    rho and rho' of the profile's metric.  T is scanned at 1,024 points of the
     first integral's variable v from p(r) to Q, each sign change refined to
     1e-12 of the v span, and p' is read at those turning points and at the
     two ends.
@@ -174,7 +174,8 @@ def lipschitz_constant(
         y = psi.y_of_v(v)
         density = rho(y)
         radicand = y * y + c / density
-        return (y - 0.5 * c * drho(y) / (density * density)
+        # rho'/rho first: rho^2 underflows for steep densities (power:1000)
+        return (y - 0.5 * c * (drho(y) / density) / density
                 - np.sqrt(np.maximum(radicand, 0.0)))
 
     lo, hi = profile.inner_v, psi.edges[-1]

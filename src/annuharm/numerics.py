@@ -27,6 +27,8 @@ _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 _GAUSS_HI = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 1_000_000
+# the points of minimize_scalar's scan and of each of its zoom scans
+_SCAN_POINTS = 1024
 
 # both rules' nodes: the integrand's call overhead dominates small panels,
 # so all nodes of the panels being scored go through one call
@@ -56,31 +58,46 @@ def _panels(F: Callable, bounds) -> list[tuple[float, float, float]]:
 
 
 def _adaptive_core(
-    F: Callable, a: float, b: float, tol: float
+    F: Callable, a: float, b: float, tol: float, edges=None
 ) -> tuple[float, np.ndarray]:
     """Globally adaptive bisection with a paired Gauss rule per panel.
 
-    The panel with the worst error estimate is refined first, so sharp
-    boundary layers cannot starve the error budget of the smooth remainder.
-    A panel with a finite value is settled (no longer refined) at the
-    rounding floor: when it is narrower than 1e-13 of the span, or, where F
-    also returns the absolute rounding uncertainty of its values (see
-    _panels), when its error estimate does not exceed the uncertainty of
-    its own value, so that a split could only resolve noise.  Settled error
-    cannot be refined away: refinement stops once the rest is within tol of
-    it, or within half of tol.  Returns the integral and the accepted
+    Refinement starts from the panels between consecutive ``edges`` (an
+    increasing sequence from a to b, by default just the two), all scored
+    in one call of F: a caller that knows where F varies fast seeds them
+    there.  The panel with the worst error estimate is refined first, so
+    sharp boundary layers cannot starve the error budget of the smooth
+    remainder.  A panel with a finite value is settled (no longer refined)
+    at the rounding floor: when it is narrower than 1e-13 of the span, or,
+    where F also returns the absolute rounding uncertainty of its values
+    (see _panels), when its error estimate does not exceed the uncertainty
+    of its own value, so that a split could only resolve noise.  Settled
+    error cannot be refined away: refinement stops once the rest is within
+    tol of it, or within half of tol.  Returns the integral and the accepted
     panels as rows (lo, hi, value) in increasing order.
     """
     span = b - a
     floor_width = 1e-13 * span
-    (value, err, floor), = _panels(F, [(a, b)])
-    heap = [(-err, a, b, value, floor)]
+    heap = []
     # error still to refine: the sum of the finite estimates and the count of
     # the infinite ones, which a running sum would turn into inf - inf = nan
-    pending_err, pending_inf = (err, 0) if math.isfinite(err) else (0.0, 1)
+    pending_err, pending_inf = 0.0, 0
+
+    def push(bounds):
+        nonlocal pending_err, pending_inf
+        for (lo, hi), (val, err, floor) in zip(bounds, _panels(F, bounds)):
+            if math.isfinite(err):
+                pending_err += err
+            else:
+                err = math.inf
+                pending_inf += 1
+            heapq.heappush(heap, (-err, lo, hi, val, floor))
+
+    edges = (a, b) if edges is None else edges
+    push(list(zip(edges[:-1], edges[1:])))
     settled = []
     settled_err = 0.0
-    n_panels = 1
+    n_panels = len(heap)
     while heap and (pending_inf or
                     pending_err > max(tol - settled_err, 0.5 * tol)):
         entry = heapq.heappop(heap)
@@ -98,15 +115,7 @@ def _adaptive_core(
             settled_err -= neg_err
             continue
         mid = 0.5 * (lo + hi)
-        halves = ((lo, mid), (mid, hi))
-        for (sub_lo, sub_hi), (sub_val, sub_err, sub_floor) in zip(
-                halves, _panels(F, halves)):
-            if math.isfinite(sub_err):
-                pending_err += sub_err
-            else:
-                sub_err = math.inf
-                pending_inf += 1
-            heapq.heappush(heap, (-sub_err, sub_lo, sub_hi, sub_val, sub_floor))
+        push(((lo, mid), (mid, hi)))
         n_panels += 2
         if n_panels > _MAX_PANELS:
             raise NoConvergence(
@@ -203,9 +212,10 @@ def _scan(f: Callable, xs: np.ndarray) -> np.ndarray:
 def minimize_scalar(
     f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
 ) -> tuple[float, float]:
-    """Global-scan minimization on [a, b]: a 1024-point scan, then 33-point
-    zoom scans around the latest winner until their grid step is at most
-    tol.  f is called on arrays and must return one value per point (else
+    """Global-scan minimization on [a, b]: a 1024-point scan, then 1024-point
+    zoom scans across the latest winner's neighbours until their grid step
+    is at most tol (a 1e-13 step on a unit interval takes four zooms).  f
+    is called on arrays and must return one value per point (else
     ValueError).  Returns (argmin, min) of the last scan; an endpoint stays
     on every scan that zooms in on it.
     """
@@ -213,12 +223,13 @@ def minimize_scalar(
         raise ValueError(f"need finite a <= b, got [{a}, {b}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    xs = np.linspace(a, b, 1024)
+    xs = np.linspace(a, b, _SCAN_POINTS)
     ys = _scan(f, xs)
     k = _winner(ys)
     while xs[1] - xs[0] > tol:
-        # 33 points across the winner's neighbours: the step shrinks >= 16-fold
-        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)], 33)
+        # across the winner's neighbours: the step shrinks >= 511-fold
+        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)],
+                         _SCAN_POINTS)
         ys = _scan(f, xs)
         k = _winner(ys)
     return float(xs[k]), float(ys[k])

@@ -71,6 +71,13 @@ _INTEGRAL_TOL = 1e-13
 # relative closeness of c to the critical constant below which the modulus
 # integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
+# a near-critical table starts from a ladder of panels in v, each rung a
+# quarter of the last, down to the boundary layer of the radicand (at most
+# _MAX_RUNGS rungs); only for c - c0 of at least _LADDER_FLOOR max(1, |c0|),
+# above the radicand's rounding floor
+_RUNG_RATIO = 0.25
+_MAX_RUNGS = 22
+_LADDER_FLOOR = 1e-14
 # the offset from the anchor at which _divergence_guard probes g
 _SINGULAR_OFFSET = 1e-12
 _NEWTON_STEPS = 60
@@ -156,12 +163,13 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
     return y_star, -w_min
 
 
-# The critical data of the latest annulus and the latest Psi table built for
-# the solver, each in a one-entry cache: both are pure functions of their
-# arguments, so a hit returns what a fresh call returns, bitwise.  A metric
-# is keyed by identity (RadialMetric compares and hashes as an object: two
-# metrics may share a name, not a density).  The callees are looked up when
-# the cache misses, so a replaced _critical_info or Psi still does the work.
+# The critical data of the latest annulus, its Psi table at c0 and the latest
+# Psi table built for the solver, each in a one-entry cache: all are pure
+# functions of their arguments, so a hit returns what a fresh call returns,
+# bitwise.  A metric is keyed by identity (RadialMetric compares and hashes
+# as an object: two metrics may share a name, not a density).  The callees
+# are looked up when the cache misses, so a replaced _critical_info or Psi
+# still does the work.
 @lru_cache(maxsize=1)
 def _critical(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
     """The (y*, c0) of _critical_info for (metric, q, Q)."""
@@ -169,9 +177,24 @@ def _critical(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=1)
+def _critical_psi(metric: RadialMetric, q: float, Q: float) -> Psi | None:
+    """The Psi table of (metric, q, Q) at c0, or None where the critical
+    modulus diverges: solve_c's BelowCritical test and its Critical return
+    and critical_inner_radius all read it, so an op builds it once."""
+    try:
+        return Psi(metric, q, Q, _critical(metric, q, Q)[1])
+    except DivergentModulus:
+        return None
+
+
+@lru_cache(maxsize=1)
 def _psi(metric: RadialMetric, q: float, Q: float, c: float) -> Psi:
     """The Psi table of (metric, q, Q, c): solve_c builds every table of its
-    root search here, so build_profile at solve_c's c reads the last one."""
+    root search here, so build_profile at solve_c's c reads the last one;
+    at c0 it is the table of _critical_psi."""
+    if c == _critical(metric, q, Q)[1] and (
+            psi := _critical_psi(metric, q, Q)) is not None:
+        return psi
     return Psi(metric, q, Q, c)
 
 
@@ -209,6 +232,16 @@ class Psi:
     sqrt(y^2 + c/rho(y)) smooth through y*, where the radicand vanishes at
     the critical constant.  ``total`` = Psi(q) is the modulus mu(c).
 
+    Just above c0 the radicand (y^2 rho(y) + c0 + (c - c0)) / rho(y) has a
+    boundary layer at the anchor, of width sqrt((c - c0) / w'(y*)) in v for
+    the weight w = y^2 rho.  There each piece of the table starts from a
+    ladder of panels, from the piece's far end toward the anchor at ratio
+    1/4 in v, down to the first rung where the weight gap w(y) + c0 is at
+    most c - c0; bisection from one panel would reach the layer a bit per
+    integrand call, or, far below the solver's collar, not at all.  The
+    ladder is left out where c - c0 is below 1e-14 max(1, |c0|), at the
+    radicand's rounding floor.
+
     Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
     on the part of a panel; below q the same rule continues the integral,
     so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
@@ -226,6 +259,7 @@ class Psi:
                 f"c={c} below the critical constant {c_crit}", critical_c=c_crit
             )
         near_critical = (c - c_crit) <= _NEAR_CRITICAL * scale
+        ladder = near_critical and c - c_crit >= _LADDER_FLOOR * scale
         span = Q - q
         if y_star - q <= 1e-7 * span:
             anchor = q
@@ -252,7 +286,8 @@ class Psi:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     panels.append(_adaptive_core(
                         partial(self.g, noisy=True), lo, hi,
-                        _MODULUS_TOL / len(pieces))[1])
+                        _MODULUS_TOL / len(pieces),
+                        self._ladder(lo, hi) if ladder else None)[1])
         except (DivergentIntegral, NoConvergence) as exc:
             if near_critical:
                 raise DivergentModulus(str(exc)) from exc
@@ -263,6 +298,19 @@ class Psi:
         # tail[k] = Psi at edges[k]: suffix sums of the panel integrals
         self.tail = np.concatenate((np.cumsum(values[::-1])[::-1], [0.0]))
         self.total = float(self.tail[0])
+
+    def _ladder(self, lo: float, hi: float) -> np.ndarray:
+        """The increasing edges of the ladder on the piece [lo, hi], which
+        has the anchor v = 0 at one end: rungs v_k = far 4^-k from the far
+        end, down to the first with w(y(v_k)) + c0 <= c - c0 (or the
+        _MAX_RUNGS-th, where w does not sink that far), then the anchor."""
+        far = lo if hi == 0.0 else hi
+        rungs = far * _RUNG_RATIO ** np.arange(_MAX_RUNGS)
+        gap = _weight(self.metric, self.y_of_v(rungs)) + self.critical_c
+        inside = np.flatnonzero(gap <= self.c - self.critical_c)
+        last = inside[0] if inside.size else _MAX_RUNGS - 1
+        edges = np.append(rungs[:last + 1], 0.0)
+        return edges if far < 0.0 else edges[::-1]
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -426,8 +474,10 @@ class Psi:
 
     def integrate(self, weight, v_lo: float) -> float:
         """int_{y(v_lo)}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) for a positive
-        weight, to _INTEGRAL_TOL of its panel sum: adaptively in v on each
-        side of the anchor, with panels settled at the rounding floor of g."""
+        weight, to _INTEGRAL_TOL of its panel sum: adaptively in v, from the
+        table's own panels on [v_lo, v(Q)] (which already resolve g, and
+        split at the anchor), with panels settled at the rounding floor of
+        g."""
         scale = self._panel_sum(weight)
 
         def integrand(v):
@@ -436,13 +486,11 @@ class Psi:
             return g * w, noise * np.abs(w)
 
         v_hi = self.edges[-1]
-        pieces = [(lo, hi) for lo, hi in ((v_lo, min(v_hi, 0.0)),
-                                          (max(v_lo, 0.0), v_hi)) if lo < hi]
+        inside = self.edges[(self.edges > v_lo) & (self.edges < v_hi)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return math.fsum(
-                _adaptive_core(integrand, lo, hi,
-                               _INTEGRAL_TOL * abs(scale) / len(pieces))[0]
-                for lo, hi in pieces)
+            return _adaptive_core(integrand, v_lo, v_hi,
+                                  _INTEGRAL_TOL * abs(scale),
+                                  np.concatenate(([v_lo], inside, [v_hi])))[0]
 
     def dmu_dc(self) -> float:
         """mu'(c) = -1/2 int_q^Q dy / (rho (y^2 + c/rho)^{3/2}) by one
@@ -467,10 +515,8 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
     """exp(-mu(c0)): domain annuli with r below this admit no radial
     minimizer.  Returns 0.0 when the critical modulus diverges (every
     domain annulus is then feasible)."""
-    try:
-        return math.exp(-Psi(metric, q, Q, _critical(metric, q, Q)[1]).total)
-    except DivergentModulus:
-        return 0.0
+    psi = _critical_psi(metric, q, Q)
+    return 0.0 if psi is None else math.exp(-psi.total)
 
 
 def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
@@ -479,7 +525,7 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     Returns 0 for conformal pairs and otherwise a c with |mu(c) - log(1/r)|
     <= tol_c.  The critical constant c0 is returned when the target modulus
     matches the critical modulus to tol_c, or when the root lies closer to
-    c0 than c-space resolves (1e-12 max(1, |c0|)).  Raises BelowCritical
+    c0 than c-space resolves (1e-12 |c0|).  Raises BelowCritical
     when the domain annulus is fatter than the critical configuration, and
     NoConvergence (DivergentModulus where mu could not be integrated) when
     no c meets the residual, as where the radicand has lost the digits that
@@ -541,7 +587,8 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
                     f"still exceeds log(1/r) = {target:.6g}")
             lo, f_lo, hi = hi, f_hi, beyond(hi, f_hi)
     else:
-        mu_max = modulus(c_crit)[0]
+        psi_max = _critical_psi(metric, q, Q)
+        mu_max = math.inf if psi_max is None else psi_max.total
         if target > mu_max + config.tol_c:
             raise BelowCritical(
                 f"domain modulus {target:.12g} exceeds the critical modulus "
@@ -552,7 +599,7 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
         if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
             return c_crit
         # closer to c0 than this c-space cannot resolve the root (the collar)
-        lo = math.sqrt(max(1e-12, 1e-12 * abs(c_crit)))
+        lo = math.sqrt(1e-12 * abs(c_crit))
         f_lo = miss_at(lo)
         if f_lo[0] <= 0.0:
             return c_crit

@@ -1,5 +1,6 @@
 """The modulus equation mu(c) = log(1/r): its residual stop, the work one
-solve costs, and the quadrature of mu next to the critical constant."""
+solve costs, and the quadrature of mu and of the energy next to the critical
+constant."""
 
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import math
 from contextlib import redirect_stdout
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from annuharm import (
     build_profile,
     critical_constant,
     critical_inner_radius,
+    energy,
     modulus_of_c,
     parse_metric,
     run_full_suite,
@@ -41,11 +44,14 @@ TWELVE_CONFIGS = [
     ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
 ]
 TOL_C = SolverConfig().tol_c
+EUCLID = parse_metric("euclidean")
 
 
 def clear_caches():
-    """Empty the solver's caches of the latest critical data and Psi table."""
+    """Empty the solver's caches of the latest critical data, critical table
+    and Psi table."""
     solver._critical.cache_clear()
+    solver._critical_psi.cache_clear()
     solver._psi.cache_clear()
 
 
@@ -90,11 +96,18 @@ class TestWork:
     @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
     def test_suite_reads_profile_from_root(self, counts, name, q, Q, r):
         # the suite's profile is the Psi table solve_c built at its root, and
-        # the critical data are those the solve before it scanned; a
-        # conformal solve reads its one table, at c = 0, from the cache
-        spec = ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r)
+        # the critical data are those the solve before it scanned.  The
+        # suite's solve reads the table at c0 (built by the solve before it
+        # for every c < 0) from its cache; a conformal solve ends on its one
+        # table, at c = 0, and a critical one on the tables at c = 0 and c0,
+        # all still cached
+        metric = parse_metric(name)
+        spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
         c = solve_c(spec)
-        builds = 0 if c == 0.0 else counts["psi"]
+        if c in (0.0, critical_constant(metric, q, Q)):
+            builds = 0
+        else:
+            builds = counts["psi"] - (c < 0.0)
         counts.update(critical=0, psi=0)
         assert run_full_suite(spec).all_passed
         assert counts == {"critical": 0, "psi": builds, "solve": 1}
@@ -109,6 +122,33 @@ class TestWork:
         build_profile(spec, c)
         critical_inner_radius(metric, spec.q, spec.Q)
         assert counts == {"critical": 1, "psi": builds + 1, "solve": 0}
+
+    @pytest.mark.parametrize("name, q, Q, r, tables", [
+        ("sphere", 0.5, 1.0, 0.4, 6),
+        # Critical: the tables at c = 0 and at c0 and no other
+        ("euclidean", 0.8, 1.0, 0.5, 2),
+    ])
+    def test_critical_table_built_once(self, monkeypatch, name, q, Q, r,
+                                       tables):
+        # solve_c's BelowCritical test and Critical return, build_profile at
+        # c0 and critical_inner_radius read one table at c0
+        clear_caches()
+        built = []
+        init = Psi.__init__
+
+        def recording(psi, metric, q, Q, c):
+            built.append(c)
+            init(psi, metric, q, Q, c)
+
+        monkeypatch.setattr(Psi, "__init__", recording)
+        metric = parse_metric(name)
+        spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
+        c = solve_c(spec)
+        assert c < 0.0
+        build_profile(spec, c)
+        critical_inner_radius(metric, q, Q)
+        assert built.count(critical_constant(metric, q, Q)) == 1
+        assert len(built) == tables
 
     @pytest.mark.parametrize("command, extra", [
         ("solve", ["--r", "0.7"]),
@@ -304,3 +344,95 @@ def test_solve_round_trips_modulus(name, outer, ratio, lift):
     solved = solve_c(spec)
     assert abs(modulus_of_c(metric, q, Q, solved) - target) <= TOL_C
     assert solved == pytest.approx(c, rel=1e-6, abs=1e-9)
+
+
+def test_collar_scales_with_c0():
+    # |c0| = 8.7e-14: a collar with an absolute floor of 1e-12 in c put the
+    # whole search above the root, and solve_c returned c0 at a modulus gap
+    # of 0.011, which build_profile rejected
+    spec = ProblemSpec(metric=parse_metric("power:4"), q=0.006659964538697418,
+                       Q=0.01, r=0.5384612313721389)
+    c = solve_c(spec)
+    profile = build_profile(spec, c)
+    assert profile.classification == "Subcritical"
+    assert abs(profile.psi.total - math.log(1.0 / spec.r)) <= TOL_C
+
+
+def _euclidean_modulus(q, Q, c):
+    """mu(c) = log((Q + sqrt(Q^2 + c)) / (q + sqrt(q^2 + c))) for rho = 1, at
+    the exact float inputs."""
+    with mpmath.workdps(50):
+        q, Q, c = map(mpmath.mpf, (q, Q, c))
+        return float(mpmath.log((Q + mpmath.sqrt(Q * Q + c))
+                                / (q + mpmath.sqrt(q * q + c))))
+
+
+# panels of the unseeded quadrature of mu (bisection from one panel), at
+# c - c0 = (1e-12, 1e-10, 1e-8, 1e-6) |c0|
+_UNSEEDED_PANELS = {(0.8, 1.0): (18, 16, 13, 10), (3.1, 9.7): (19, 18, 15, 12),
+                    (0.2, 5.0): (21, 19, 17, 14), (0.5, 0.51): (16, 14, 11, 9)}
+
+
+@pytest.mark.parametrize("q, Q", list(_UNSEEDED_PANELS))
+@pytest.mark.parametrize("k, lift", enumerate((1e-12, 1e-10, 1e-8, 1e-6)))
+def test_near_critical_ladder(q, Q, k, lift):
+    # the boundary layer at q has width sqrt((c - c0) / 2q) in v; the ladder
+    # of panels reaches it at once, as accurately as bisection did and with
+    # no more panels
+    c0 = critical_constant(EUCLID, q, Q)
+    c = c0 + lift * abs(c0)
+    psi = Psi(EUCLID, q, Q, c)
+    assert abs(psi.total - _euclidean_modulus(q, Q, c)) <= 1e-10
+    assert psi.edges.size - 1 <= _UNSEEDED_PANELS[q, Q][k]
+
+
+def test_layer_far_below_collar():
+    # 2.9e-13 above c0 = -9.61, 30 times closer than solve_c's collar: no
+    # Gauss node of a first panel came near the layer, and bisection stopped
+    # at 2 panels, 1.7e-7 off
+    c = critical_constant(EUCLID, 3.1, 9.7) + 2.9e-13
+    psi = Psi(EUCLID, 3.1, 9.7, c)
+    assert abs(psi.total - _euclidean_modulus(3.1, 9.7, c)) <= 1e-10
+
+
+@mpmath.workdps(30)
+def _energy_reference(profile, metric, c):
+    """2 pi int_{p(r)}^Q (2 y^2 rho + c) / sqrt(y^2 + c/rho) dy by mpmath, in
+    the table's variable v (y = a + v|v|, split at the anchor a) from the
+    profile's inner end, at the float c given."""
+    psi, c = profile.psi, mpmath.mpf(c)
+    a = mpmath.mpf(psi.anchor)
+    if profile.c == profile.critical_c:
+        # the critical constant of the anchor itself: the float c0 leaves
+        # the radicand a rounding error below 0 there
+        c = -a * a * metric.eval(a)
+
+    def integrand(v):
+        y = a + v * abs(v)
+        rho = metric.eval(y)
+        return 2 * abs(v) * (2 * y * y * rho + c) / mpmath.sqrt(y * y + c / rho)
+
+    lo, hi = profile.inner_v, float(psi.edges[-1])
+    ends = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    return float(2 * mpmath.pi * mpmath.quad(integrand, ends))
+
+
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + [
+    # solve_fuzz collar draws, 1.6e-10 to 5.1e-10 |c0| above c0
+    ("power:-3", 0.38544973112274356, 3.5617491212844707, 0.02862678026784932),
+    ("power:-3", 1.8673293654299954, 2.5895477803791933, 0.30881223870918145),
+    ("sphere", 5.362320039887964, 8.478080164643885, 0.3512985642087674),
+    ("euclidean", 3.1679910025008864, 4.46691959387355, 0.41596613474968075),
+])
+def test_energy_matches_mpmath(name, q, Q, r):
+    # the energy starts from the table's panels; next to c0 one ulp of c
+    # moves the energy by up to 5e-12 relative here, and the energy may
+    # differ from the reference by that much
+    metric = parse_metric(name)
+    spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
+    profile = build_profile(spec, solve_c(spec))
+    expected = _energy_reference(profile, metric, profile.c)
+    slack = 0.0 if profile.c == profile.critical_c else abs(
+        _energy_reference(profile, metric, np.nextafter(profile.c, 1.0))
+        - expected)
+    assert abs(energy(profile, metric) - expected) <= 1e-12 * expected + slack

@@ -113,7 +113,11 @@ class TestMinimizeScalar:
         ("power:-3", 0.3, 9.9), ("power:-2", 0.3, 9.9)])
     def test_critical_scan_calls(self, name, q, Q):
         # the critical constant's search: a scan and zoom scans, each one
-        # array call of y^2 rho(y), never a call on a single point
+        # array call of y^2 rho(y), never a call on a single point.  For
+        # power:-2, y^2 rho is 1 up to rounding, so the winner lies inside
+        # and a zoom shrinks the step 511.5-fold, not 1023-fold as at an end:
+        # from 9.6/1023 four zooms reach only 1.4e-13
+        calls = 6 if name == "power:-2" else 5
         metric = parse_metric(name)
         sizes = []
 
@@ -122,7 +126,7 @@ class TestMinimizeScalar:
             return y * y * metric.eval(y)
 
         minimize_scalar(weight, q, Q, 1e-13)
-        assert len(sizes) <= 12
+        assert len(sizes) <= calls
         assert min(sizes) > 1
 
     @pytest.mark.parametrize("f", [lambda y: 1.0, lambda y: np.sum(y),
