@@ -41,18 +41,21 @@ def _panels(F: Callable, bounds) -> list[tuple[float, float, float]]:
     each (lo, hi).  F returns its values, or the pair (values, rounding
     uncertainty of the values); the floor is the fine rule applied to that
     uncertainty, or 0 without one."""
-    x = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS_NODES
-                        for lo, hi in bounds])
-    vals = F(x)
-    vals, unc = vals if isinstance(vals, tuple) else (vals, np.zeros_like(vals))
+    bounds = np.asarray(bounds, dtype=float)
+    lo, hi = bounds[:, :1], bounds[:, 1:]
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (hi + lo) + half * _GAUSS_NODES
+    vals = F(x.ravel())
+    vals, unc = vals if isinstance(vals, tuple) else (vals, None)
+    vals = vals.reshape(x.shape)
+    unc = [None] * len(x) if unc is None else unc.reshape(x.shape)
     out = []
-    for i, (lo, hi) in enumerate(bounds):
-        part = slice(i * _GAUSS_NODES.size, (i + 1) * _GAUSS_NODES.size)
-        v, u = vals[part], unc[part]
-        half = 0.5 * (hi - lo)
-        coarse = half * float(np.dot(_GAUSS_LO[1], v[:_N_LO]))
-        fine = half * float(np.dot(_GAUSS_HI[1], v[_N_LO:]))
-        floor = half * float(np.dot(_GAUSS_HI[1], u[_N_LO:]))
+    # a dot product per panel: a matrix product rounds a row by its place
+    # in the batch
+    for h, v, u in zip(half[:, 0].tolist(), vals, unc):
+        coarse = h * float(np.dot(_GAUSS_LO[1], v[:_N_LO]))
+        fine = h * float(np.dot(_GAUSS_HI[1], v[_N_LO:]))
+        floor = 0.0 if u is None else h * float(np.dot(_GAUSS_HI[1], u[_N_LO:]))
         out.append((fine, abs(fine - coarse), floor))
     return out
 
@@ -200,6 +203,17 @@ def _winner(y: np.ndarray) -> int:
     return int(np.nanargmin(y)) if math.isnan(y[k]) else k
 
 
+_STEPS = np.arange(_SCAN_POINTS, dtype=float)
+
+
+def _grid(a: float, b: float) -> np.ndarray:
+    """np.linspace(a, b, _SCAN_POINTS), by linspace's own arithmetic (a + k
+    (b - a)/(n - 1), then b as the last point) without its per-call cost."""
+    xs = _STEPS * ((b - a) / (_SCAN_POINTS - 1)) + a
+    xs[-1] = b
+    return xs
+
+
 def _scan(f: Callable, xs: np.ndarray) -> np.ndarray:
     """f at the points xs, one value per point."""
     ys = np.asarray(f(xs), dtype=float)
@@ -223,13 +237,12 @@ def minimize_scalar(
         raise ValueError(f"need finite a <= b, got [{a}, {b}]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    xs = np.linspace(a, b, _SCAN_POINTS)
+    xs = _grid(a, b)
     ys = _scan(f, xs)
     k = _winner(ys)
     while xs[1] - xs[0] > tol:
         # across the winner's neighbours: the step shrinks >= 511-fold
-        xs = np.linspace(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)],
-                         _SCAN_POINTS)
+        xs = _grid(xs[max(k - 1, 0)], xs[min(k + 1, xs.size - 1)])
         ys = _scan(f, xs)
         k = _winner(ys)
     return float(xs[k]), float(ys[k])
