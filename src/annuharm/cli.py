@@ -2,9 +2,10 @@
 
 Commands: solve, critical, eval, verify, sweep.  JSON goes to stdout (or
 --out) for solve/critical/verify; eval and sweep emit CSV by default.
-Exit codes: 0 success, 1 usage error, 2 infeasible configuration,
-3 verification failure, 4 numerical failure (a JSON payload {error, stage,
-detail} names the error, the library call that raised it and its message).
+Exit codes: 0 success, 1 usage error (also an --out that cannot be
+written), 2 infeasible configuration, 3 verification failure, 4 numerical
+failure (a JSON payload {error, stage, detail} names the error, the
+outermost public library call that raised it and its message).
 """
 
 from __future__ import annotations
@@ -23,14 +24,8 @@ from .errors import (
     NoConvergence,
     ProfileMismatch,
 )
-from .fields import (
-    PolarGrid,
-    energy,
-    field_arrays,
-    kk_constants,
-    lipschitz_constant,
-)
-from .metrics import area, parse_metric
+from .fields import PolarGrid, field_arrays
+from .metrics import parse_metric
 from .solver import (
     ProblemSpec,
     SolverConfig,
@@ -39,7 +34,7 @@ from .solver import (
     critical_inner_radius,
     solve_c,
 )
-from .verify import run_full_suite
+from .verify import _solved, run_full_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -54,6 +49,8 @@ _NUMERICAL_ERRORS = (NoConvergence, DivergentModulus, DivergentIntegral,
 
 _EVAL_HEADER = "s,t,re_w,im_w,re_wz,im_wz,re_wzb,im_wzb,jac,opnorm,lonorm,re_hopf,im_hopf"
 _SWEEP_HEADER = "r,c,classification,energy,lipschitz_sup,lonorm_inf,mod_domain,mod_target"
+# the sweep's columns read from the solve payload at each r
+_SWEEP_SOLVED = _SWEEP_HEADER.split(",")[1:6]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,45 +166,25 @@ def _problem(args) -> ProblemSpec:
     return ProblemSpec(metric=metric, q=args.q, Q=args.Q, r=args.r)
 
 
-def _solve_summary(spec: ProblemSpec, config: SolverConfig) -> dict:
-    c = solve_c(spec, config)
-    profile = build_profile(spec, c, config)
-    metric = spec.metric
-    total_energy = energy(profile, metric)
-    sup_op, inf_lo = lipschitz_constant(profile, metric)
-    k, k_prime = kk_constants(profile, metric)
-    crit_c = profile.critical_c
-    crit_r = critical_inner_radius(metric, spec.q, spec.Q)
-    return {
-        "c": c,
-        "hopf_constant": c / 4.0,
-        "classification": profile.classification,
-        "modulus_domain": math.log(1.0 / spec.r),
-        "modulus_target": math.log(spec.Q / spec.q),
-        "energy": total_energy,
-        "energy_lower_bound": 2.0 * area(metric, spec.q, spec.Q),
-        "lipschitz_sup": sup_op,
-        "lonorm_inf": inf_lo,
-        "K": k,
-        "K_prime": k_prime,
-        "critical_c": crit_c,
-        "critical_r": crit_r if crit_r > 0.0 else None,
-    }
+def _critical_r(metric, q: float, Q: float) -> float | None:
+    """The critical inner radius, None where every r is feasible."""
+    crit_r = critical_inner_radius(metric, q, Q)
+    return crit_r if crit_r > 0.0 else None
 
 
 def cmd_solve(args) -> int:
-    payload = _solve_summary(_problem(args), _solver_config(args))
+    spec = _problem(args)
+    _, payload = _solved(spec, _solver_config(args))
+    payload["critical_r"] = _critical_r(spec.metric, spec.q, spec.Q)
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
 def cmd_critical(args) -> int:
     metric = parse_metric(args.metric)
-    crit_c = critical_constant(metric, args.q, args.Q)
-    crit_r = critical_inner_radius(metric, args.q, args.Q)
     payload = {
-        "critical_c": crit_c,
-        "critical_r": crit_r if crit_r > 0.0 else None,
+        "critical_c": critical_constant(metric, args.q, args.Q),
+        "critical_r": _critical_r(metric, args.q, args.Q),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return _EXIT_OK
@@ -262,26 +239,22 @@ def cmd_sweep(args) -> int:
             args.r_min + i * (args.r_max - args.r_min) / (args.r_steps - 1)
         spec = ProblemSpec(metric=metric, q=args.q, Q=args.Q, r=r)
         try:
-            c = solve_c(spec, config)
+            _, solved = _solved(spec, config)
         except BelowCritical:
-            solved = (None, "none", None, None, None)
-        else:
-            profile = build_profile(spec, c, config)
-            sup_op, inf_lo = lipschitz_constant(profile, metric)
-            solved = (c, profile.classification, energy(profile, metric),
-                      sup_op, inf_lo)
-        values = (r, *solved, math.log(1.0 / r), mod_target)
-        rows.append(dict(zip(_SWEEP_HEADER.split(","), values)))
+            solved = {"classification": "none"}
+        rows.append({"r": r, **{key: solved.get(key) for key in _SWEEP_SOLVED},
+                     "mod_domain": math.log(1.0 / r), "mod_target": mod_target})
     _emit_table(_SWEEP_HEADER, rows, args.format, args.out)
     return _EXIT_OK
 
 
 def _failed_stage(exc: BaseException) -> str:
-    """module.function of the library call that raised: the first
-    traceback frame outside this module."""
+    """module.function of the library call that raised: the outermost
+    traceback frame of a public function outside this module."""
     for frame, _ in traceback.walk_tb(exc.__traceback__):
         module = frame.f_globals.get("__name__", "")
-        if module.startswith("annuharm.") and module != __name__:
+        if module.startswith("annuharm.") and module != __name__ \
+                and not frame.f_code.co_name.startswith("_"):
             return f"{module[len('annuharm.'):]}.{frame.f_code.co_name}"
     return "cli"
 
@@ -299,20 +272,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except BelowCritical as exc:
-        payload = {"error": "BelowCritical", "critical_r": exc.critical_r}
+        try:
+            return _COMMANDS[args.command](args)
+        except BelowCritical as exc:
+            code = _EXIT_INFEASIBLE
+            payload = {"error": "BelowCritical", "critical_r": exc.critical_r}
+        except _NUMERICAL_ERRORS as exc:
+            code = _EXIT_NUMERICAL
+            payload = {"error": type(exc).__name__,
+                       "stage": _failed_stage(exc), "detail": str(exc)}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return _EXIT_INFEASIBLE
-    except _NUMERICAL_ERRORS as exc:
-        payload = {"error": type(exc).__name__, "stage": _failed_stage(exc),
-                   "detail": str(exc)}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return _EXIT_NUMERICAL
-    except AnnuharmError as exc:
-        sys.stderr.write(f"annuharm {args.command}: {exc}\n")
-        return _EXIT_USAGE
-    except ValueError as exc:
+        return code
+    # an OSError can only come from writing --out, a path the user gave
+    except (AnnuharmError, ValueError, OSError) as exc:
         sys.stderr.write(f"annuharm {args.command}: {exc}\n")
         return _EXIT_USAGE
 

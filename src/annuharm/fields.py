@@ -142,7 +142,8 @@ def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
 
     With p' = sqrt(p^2 + c/rho(p)) / s and ds/s = dp / sqrt(p^2 + c/rho(p))
     it becomes 2 pi int_{p(r)}^Q (2 y^2 rho(y) + c) / sqrt(y^2 + c/rho(y)) dy,
-    integrated adaptively in the first integral's variable v.
+    integrated adaptively in the first integral's variable v.  ``metric``,
+    read for rho, must be the profile's own.
     """
     c = profile.c
     weight = lambda y: 2.0 * y * y * metric.eval(y) + c
@@ -165,7 +166,7 @@ def lipschitz_constant(
     rho and rho' of the profile's metric.  T is scanned at 1,024 points of the
     first integral's variable v from p(r) to Q, each sign change refined to
     1e-12 of the v span, and p' is read at those turning points and at the
-    two ends.
+    two ends.  ``metric`` must be the profile's own: the profile's is read.
     """
     psi, c = profile.psi, profile.c
     rho, drho = psi.metric.eval, psi.metric.deriv
@@ -201,7 +202,8 @@ def lipschitz_constant(
 
 def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float, float]:
     """Distortion constants (K, K') with K = 1 and
-    K' = |c| / (r^2 inf_{[q,Q]} rho): pointwise ||Dw||^2 <= 2 J + K'."""
+    K' = |c| / (r^2 inf_{[q,Q]} rho): pointwise ||Dw||^2 <= 2 J + K'.
+    ``metric``, read for rho, must be the profile's own."""
     spec = profile.spec
     _, rho_inf = minimize_scalar(metric.eval, spec.q, spec.Q, 1e-12)
     return 1.0, abs(profile.c) / (spec.r**2 * rho_inf)

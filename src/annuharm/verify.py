@@ -355,6 +355,31 @@ def _residual_order_record(name: str, res_h: float, res_half: float,
     )
 
 
+def _solved(spec: ProblemSpec,
+            config: SolverConfig) -> tuple[MinimizerProfile, dict]:
+    """The solve chain: the profile and the numbers ``annuharm solve``
+    prints but critical_r, which each sweep row and the suite read."""
+    c = solve_c(spec, config)
+    profile = build_profile(spec, c, config)
+    metric = spec.metric
+    sup_op, inf_lo = lipschitz_constant(profile, metric)
+    k, k_prime = kk_constants(profile, metric)
+    return profile, {
+        "c": c,
+        "hopf_constant": c / 4.0,
+        "classification": profile.classification,
+        "modulus_domain": math.log(1.0 / spec.r),
+        "modulus_target": math.log(spec.Q / spec.q),
+        "energy": field_energy(profile, metric),
+        "energy_lower_bound": 2.0 * area(metric, spec.q, spec.Q),
+        "lipschitz_sup": sup_op,
+        "lonorm_inf": inf_lo,
+        "K": k,
+        "K_prime": k_prime,
+        "critical_c": profile.critical_c,
+    }
+
+
 def run_full_suite(
     spec: ProblemSpec,
     config: SolverConfig = SolverConfig(),
@@ -372,20 +397,17 @@ def run_full_suite(
         check_tol = config.tol_c
     report = VerificationReport()
     try:
-        c = solve_c(spec, config)
+        profile, solved = _solved(spec, config)
     except BelowCritical as exc:
         report.checks.append(
-            CheckRecord(
-                name="solvable_configuration",
-                measured=1.0,
-                tolerance=0.0,
-                passed=False,
-                detail=f"below critical: critical_r={exc.critical_r:.12g}, "
-                       f"critical_c={exc.critical_c:.12g}",
+            CheckRecord.measure(
+                "solvable_configuration", 1.0, 0.0,
+                f"below critical: critical_r={exc.critical_r:.12g}, "
+                f"critical_c={exc.critical_c:.12g}",
             )
         )
         return report
-    profile = build_profile(spec, c, config)
+    c = solved["c"]
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
     report.checks.append(
         CheckRecord.measure("solvable_configuration", 0.0, 0.0,
@@ -453,8 +475,7 @@ def run_full_suite(
     )
 
     # energy bound
-    total_energy = field_energy(profile, metric)
-    lower_bound = 2.0 * area(metric, q, Q)
+    total_energy, lower_bound = solved["energy"], solved["energy_lower_bound"]
     report.checks.append(
         CheckRecord.measure(
             "energy_lower_bound", lower_bound - total_energy, 1e-9,
@@ -479,7 +500,7 @@ def run_full_suite(
         )
 
     # distortion inequality and algebraic norm identities
-    _, k_prime = kk_constants(profile, metric)
+    k_prime = solved["K_prime"]
     norm_sq = 2.0 * (np.abs(arrays["wz"]) ** 2 + np.abs(arrays["wzb"]) ** 2)
     kk_slack = norm_sq - 2.0 * arrays["jac"] - k_prime
     report.checks.append(
@@ -507,7 +528,7 @@ def run_full_suite(
     )
 
     # smallest-stretch bounds by regime
-    _, inf_lo = lipschitz_constant(profile, metric)
+    inf_lo = solved["lonorm_inf"]
     if c >= 0.0:
         report.checks.append(
             CheckRecord.measure("min_stretch_bound", q - inf_lo, 1e-9,

@@ -105,6 +105,28 @@ class TestSolve:
         assert doc["detail"].startswith("could not bracket c upward: ")
         assert doc == {"error": "NoConvergence", "stage": "solver.solve_c",
                        "detail": doc["detail"]}
+        # the stage is the outermost public library call: run_full_suite,
+        # not the solver.profile call under it where the table gives up
+        code, text = run_main("verify", "--metric", "power:300", "--q", "0.5",
+                              "--Q", "1", "--r", "0.6")
+        assert code == 4
+        doc = json.loads(text)
+        assert doc["detail"].startswith(
+            "profile table on [0.6, 1] needs more than 4096 pieces")
+        assert doc == {"error": "NoConvergence",
+                       "stage": "verify.run_full_suite", "detail": doc["detail"]}
+
+    @pytest.mark.parametrize("r, target", [
+        ("0.5", "missing/out.json"), ("0.3", "missing/out.json"), ("0.5", "")])
+    def test_unwritable_out_usage_error(self, tmp_path, capsys, r, target):
+        # a missing directory, on the success and the exit-2 paths, and a
+        # directory itself: one line on stderr, no traceback
+        code = main(["solve", "--metric", "euclidean", "--q", "0.8", "--Q", "1",
+                     "--r", r, "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert re.fullmatch(r"annuharm solve: \[Errno \d+\] .*\n", captured.err)
+        assert not (tmp_path / "missing").exists()
 
     def test_bracket_cap_reported(self):
         # log(1/r) = 1e-8 would need c near 4e14, past the cap c = 1e12
@@ -234,6 +256,27 @@ class TestSweep:
         for row in rows:
             assert row[2] == "none"
             assert row[1] == "" and row[3] == ""
+
+    def test_rows_are_solve_payloads(self):
+        # r_min = 0.4 lies below r0 = 0.5: that row has no solved columns
+        code, text = run_main("sweep", "--metric", "euclidean", "--q", "0.8",
+                              "--Q", "1", "--r_min", "0.4", "--r_max", "0.9",
+                              "--r_steps", "6", "--format", "json")
+        assert code == 0
+        solved = SWEEP_HEADER.split(",")[1:6]
+        below, *feasible = json.loads(text)
+        assert below["r"] == 0.4 and below["classification"] == "none"
+        assert [below[key] for key in solved if key != "classification"] \
+            == [None] * 4
+        assert len(feasible) == 5
+        for row in feasible:
+            code, text = run_main("solve", "--metric", "euclidean", "--q", "0.8",
+                                  "--Q", "1", "--r", repr(row["r"]))
+            assert code == 0
+            doc = json.loads(text)
+            # repr tells floats apart bitwise, signed zeros included
+            assert [repr(row[key]) for key in solved] \
+                == [repr(doc[key]) for key in solved]
 
     def test_invalid_range(self):
         out = run_cli("sweep", "--metric", "euclidean", "--q", "0.8", "--Q", "1",
