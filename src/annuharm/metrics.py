@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParameter, OutOfDomain, UnknownMetric
-from .numerics import _adaptive_core, _panels, minimize_scalar
+from .numerics import _adaptive_core, minimize_scalar
 
 __all__ = [
     "RadialMetric",
@@ -208,8 +208,8 @@ def area(metric: RadialMetric, q: float, Q: float) -> float:
     over the whole interval, so the cost does not depend on the scale."""
     _check_interval(metric, q, Q)
     integrand = lambda y: metric.eval(y) * y
-    (scale, _, _), = _panels(integrand, [(q, Q)])
-    return 2.0 * math.pi * _adaptive_core(integrand, q, Q, 1e-13 * scale)[0]
+    return 2.0 * math.pi * _adaptive_core(integrand, q, Q, 1e-13,
+                                          relative=True)[0]
 
 
 def approx_analytic_constant(metric: RadialMetric, q: float, Q: float) -> float:

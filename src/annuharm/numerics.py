@@ -61,7 +61,7 @@ def _panels(F: Callable, bounds) -> list[tuple[float, float, float]]:
 
 
 def _adaptive_core(
-    F: Callable, a: float, b: float, tol: float, edges=None
+    F: Callable, a: float, b: float, tol: float, edges=None, relative=False
 ) -> tuple[float, np.ndarray]:
     """Globally adaptive bisection with a paired Gauss rule per panel.
 
@@ -76,8 +76,10 @@ def _adaptive_core(
     (see _panels), when its error estimate does not exceed the uncertainty
     of its own value, so that a split could only resolve noise.  Settled
     error cannot be refined away: refinement stops once the rest is within
-    tol of it, or within half of tol.  Returns the integral and the accepted
-    panels as rows (lo, hi, value) in increasing order.
+    tol of it, or within half of tol.  With ``relative`` tol is relative to
+    the magnitude of the first pass, the fine rule summed over the initial
+    panels.  Returns the integral and the accepted panels as rows (lo, hi,
+    value) in increasing order.
     """
     span = b - a
     floor_width = 1e-13 * span
@@ -98,6 +100,8 @@ def _adaptive_core(
 
     edges = (a, b) if edges is None else edges
     push(list(zip(edges[:-1], edges[1:])))
+    if relative:
+        tol *= abs(math.fsum(entry[3] for entry in heap))
     settled = []
     settled_err = 0.0
     n_panels = len(heap)

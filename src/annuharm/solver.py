@@ -37,6 +37,9 @@ from .metrics import RadialMetric, _check_interval, parse_metric
 from .numerics import (
     _EPS,
     _GAUSS_HI,
+    _GAUSS_LO,
+    _GAUSS_NODES,
+    _N_LO,
     _adaptive_core,
     find_root_bracketed,
     minimize_scalar,
@@ -245,8 +248,11 @@ class Psi:
     Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
     on the part of a panel; below q the same rule continues the integral,
     so the profile of an inconsistent (q, Q, r, c) can overshoot q the way
-    the profile equation does.  The critical data come from the solver's
-    one-entry cache of the latest annulus (see ``_critical``).  Raises
+    the profile equation does.  ``_moments`` reads mu and mu' at another
+    c off the Gauss nodes of the table's panels, with the density read once
+    per table; the root search of solve_c steps on such reads where they
+    can be trusted (see ``_reread``).  The critical data come from the
+    solver's one-entry cache of the latest annulus (see ``_critical``).  Raises
     BelowCritical for c under the critical constant and DivergentModulus
     where the integral diverges.
     """
@@ -378,21 +384,25 @@ class Psi:
     def v_of_log(self, target):
         """v with Psi(y(v)) = target (target = log(1/s), vectorized).
 
-        Safeguarded Newton: the knots of the panel table bracket the root in
-        v and interpolating Psi linearly in y between them starts the
-        iteration.  Above the critical constant the step is taken in y,
-        where dPsi/dy = -1/sqrt(radicand) is finite and nonzero at the
-        anchor; dPsi/dv vanishes there, so a step in v would gain one bit
-        per sweep next to it.  At the critical constant the radicand
-        vanishes at the anchor, and the step stays in v.  A step leaving the
-        bracket is replaced by bisection in v.
+        Safeguarded Newton: knots where Psi is known bracket the root in v,
+        and interpolating Psi linearly in y between them starts the
+        iteration.  A single target (such as p(r), next to the first edge,
+        where Psi(q) = mu meets log(1/r)) is bracketed by the panel edges,
+        where Psi is the table's exact tail sum; a bulk call by the finer
+        _knots, which cost one evaluation of Psi each.  Above the critical
+        constant the step is taken in y, where dPsi/dy = -1/sqrt(radicand)
+        is finite and nonzero at the anchor; dPsi/dv vanishes there, so a
+        step in v would gain one bit per sweep next to it.  At the critical
+        constant the radicand vanishes at the anchor, and the step stays in
+        v.  A step leaving the bracket is replaced by bisection in v.
         Below q the bracket extends to a floor, and where the radicand turns
         negative the profile stops at its zero, as the profile equation does.
         Raises NoConvergence for a point unresolved after _NEWTON_STEPS
         sweeps.
         """
         target = np.asarray(target, dtype=float).ravel()
-        knots, known = self._knots
+        knots, known = ((self.edges, self.tail) if target.size == 1
+                        else self._knots)
         k = np.clip(np.searchsorted(-known, -target, side="right") - 1, 0,
                     knots.size - 2)
         below = target > known[0]
@@ -467,18 +477,12 @@ class Psi:
         out = np.sqrt(np.maximum(self._radicand(p), 0.0)) / s
         return float(out) if np.ndim(out) == 0 else out
 
-    def _panel_sum(self, weight) -> float:
-        """int_q^Q weight(y) dy / sqrt(y^2 + c/rho(y)) by one 15-point rule
-        per panel of the table."""
-        return math.fsum(self._gauss(self.edges[:-1], self.edges[1:], weight))
-
     def integrate(self, weight, v_lo: float) -> float:
         """int_{y(v_lo)}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) for a positive
-        weight, to _INTEGRAL_TOL of its panel sum: adaptively in v, from the
-        table's own panels on [v_lo, v(Q)] (which already resolve g, and
-        split at the anchor), with panels settled at the rounding floor of
-        g."""
-        scale = self._panel_sum(weight)
+        weight, adaptively in v, from the table's own panels on [v_lo, v(Q)]
+        (which already resolve g, and split at the anchor), to _INTEGRAL_TOL
+        relative to the first pass over them, with panels settled at the
+        rounding floor of g."""
 
         def integrand(v):
             g, noise = self.g(v, noisy=True)
@@ -488,17 +492,43 @@ class Psi:
         v_hi = self.edges[-1]
         inside = self.edges[(self.edges > v_lo) & (self.edges < v_hi)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _adaptive_core(integrand, v_lo, v_hi,
-                                  _INTEGRAL_TOL * abs(scale),
-                                  np.concatenate(([v_lo], inside, [v_hi])))[0]
+            return _adaptive_core(integrand, v_lo, v_hi, _INTEGRAL_TOL,
+                                  np.concatenate(([v_lo], inside, [v_hi])),
+                                  relative=True)[0]
 
-    def dmu_dc(self) -> float:
-        """mu'(c) = -1/2 int_q^Q dy / (rho (y^2 + c/rho)^{3/2}) by one
-        15-point rule per panel of mu; the integrand is singular at the
-        critical constant, where only its leading digits are reliable, which
-        is all a Newton step needs."""
-        return -0.5 * self._panel_sum(
-            lambda y: 1.0 / (_weight(self.metric, y) + self.c))
+    @cached_property
+    def _nodes(self) -> tuple[np.ndarray, ...]:
+        """(2|v|, y^2, rho) at the nodes of both Gauss rules on each panel
+        (one row per panel), and the panels' half-widths: the density is
+        read once per table."""
+        lo, hi = self.edges[:-1, None], self.edges[1:, None]
+        half = 0.5 * (hi - lo)
+        v = 0.5 * (hi + lo) + half * _GAUSS_NODES
+        y = self.y_of_v(v)
+        return 2.0 * np.abs(v), y * y, self.metric.eval(y), half[:, 0]
+
+    def _moments(self, c: float) -> tuple[float, float, float]:
+        """(mu, error estimate, mu') at the constant c, read off the panels of
+        this table by the paired Gauss rules of its quadrature: mu and
+        mu'(c) = -1/2 int_q^Q dy / (rho R^{3/2}) = -1/2 int g / (rho R) dv,
+        R = y^2 + c/rho, by the 15-point rule, and the error as the sum of
+        |15-point - 7-point| over the panels.  The panels were chosen for
+        the table's own c: a boundary layer narrower than they are goes
+        unseen, and the error estimate then reads about 0.  mu' is singular
+        at the critical constant, where only its leading digits are
+        reliable, which is all a Newton step needs."""
+        two_v, y2, rho, half = self._nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radicand = y2 + c / rho
+            g = two_v / np.sqrt(radicand)
+            # per-row sums, as in _gauss
+            fine = half * np.einsum("ij,j->i", g[:, _N_LO:], _GAUSS_HI[1])
+            coarse = half * np.einsum("ij,j->i", g[:, :_N_LO], _GAUSS_LO[1])
+            slope = half * np.einsum("ij,j->i",
+                                     (g / (rho * radicand))[:, _N_LO:],
+                                     _GAUSS_HI[1])
+            error = float(np.sum(np.abs(fine - coarse)))
+        return math.fsum(fine), error, -0.5 * math.fsum(slope)
 
 
 def modulus_of_c(metric: RadialMetric, q: float, Q: float, c: float) -> float:
@@ -519,6 +549,23 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
     return 0.0 if psi is None else math.exp(-psi.total)
 
 
+def _reread(psi: Psi, c: float) -> tuple[float, float] | None:
+    """(mu, mu') at c read off the Gauss nodes of psi, a table at another
+    constant (see Psi._moments), or None where they cannot be trusted: c
+    lies nearer c0 than psi.c within the near-critical band, where the
+    boundary layer at c is narrower than any psi resolved; the error
+    estimate exceeds the tolerance a fresh table meets; or a value is not
+    finite."""
+    c_crit = psi.critical_c
+    if c < psi.c and c - c_crit <= _NEAR_CRITICAL * max(1.0, abs(c_crit)):
+        return None
+    mu, error, slope = psi._moments(c)
+    if not (error <= _MODULUS_TOL and math.isfinite(mu)
+            and math.isfinite(slope)):
+        return None
+    return mu, slope
+
+
 def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     """Solve mu(c) = log(1/r) for the variational constant.
 
@@ -533,39 +580,52 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
 
     The root is found by safeguarded Newton steps in x = sqrt(c - c0):
     mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
-    linear for large c, where mu ~ 1/sqrt(c).
+    linear for large c, where mu ~ 1/sqrt(c).  mu(0) = log(Q/q) in closed
+    form.  An iterate reads mu and mu' off the Gauss nodes of the table
+    nearest c0 built so far in the call where _reread trusts them, and
+    builds its own table otherwise; the returned c is checked on its own
+    table, which build_profile then reads.
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
     c_crit = _critical(metric, q, Q)[1]
     target = math.log(1.0 / spec.r)
+    # the table nearest c0 built in this call, whose nodes the iterates read
+    nodes = None
 
     def modulus(c):
-        """mu(c) and its Psi table, or (+inf, None) where Psi reports the
-        modulus divergent: only next to c0, where mu exceeds its value at
-        every c further out, so the bracket keeps its order; a root next to
-        such a c fails the residual check below."""
+        """mu(c) and mu'(c), or (+inf, nan) where Psi reports the modulus
+        divergent: only next to c0, where mu exceeds its value at every c
+        further out, so the bracket keeps its order; a root next to such a
+        c fails the residual check below."""
+        nonlocal nodes
+        if nodes is not None and (read := _reread(nodes, c)) is not None:
+            return read
         try:
             psi = _psi(metric, q, Q, c)
         except DivergentModulus:
-            return math.inf, None
-        return psi.total, psi
+            return math.inf, math.nan
+        if nodes is None or c < nodes.c:
+            nodes = psi
+        return psi.total, psi._moments(c)[2]
 
-    def miss(mu, psi, x):
+    def miss(mu, slope, x):
         """target (mu - target) / mu, which is mu - target to first order
-        and smooth in x where mu is finite, and its slope in x."""
-        if psi is None:
-            return target, math.nan
+        and smooth in x where mu is finite, and its slope in x; target and
+        no slope where mu is infinite."""
         ratio = target / mu
-        return target - target * ratio, 2.0 * x * ratio * ratio * psi.dmu_dc()
+        return target - target * ratio, 2.0 * x * ratio * ratio * slope
 
     def miss_at(x):
         return miss(*modulus(c_crit + x * x), x)
 
-    mu0, psi0 = modulus(0.0)
+    # at c = 0 the first integral is int dy / y for every density
+    mu0 = math.log(Q / q)
     if abs(mu0 - target) <= config.tol_c:
+        # the table build_profile reads
+        _psi(metric, q, Q, 0.0)
         return 0.0
     x0 = math.sqrt(-c_crit)
-    end0 = miss(mu0, psi0, x0)
+    end0 = miss(mu0, math.nan, x0)
     if target < mu0:
         # expanding regime: c > 0 shrinks the modulus, which tends to 0;
         # the upper end is sought by steps of twice the Newton step, and at
@@ -608,7 +668,10 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     x = find_root_bracketed(miss_at, lo, hi, 0.5 * config.tol_c,
                             xtol=4.0 * _EPS * hi, f_lo=f_lo, f_hi=f_hi)
     c = c_crit + x * x
-    gap = modulus(c)[0] - target
+    try:
+        gap = _psi(metric, q, Q, c).total - target
+    except DivergentModulus:
+        gap = math.inf
     if not abs(gap) <= config.tol_c:
         error = DivergentModulus if math.isinf(gap) else NoConvergence
         raise error(
@@ -704,7 +767,8 @@ class MinimizerProfile:
 
         p is analytic on [r, 1].  A piece is kept when the interpolant on
         its even nodes meets its odd nodes within _TABLE_TOL Q, and is
-        bisected otherwise; the nodes of one round are solved in one call.
+        bisected otherwise; the nodes of one round are solved in one call,
+        except the end at r, which is p(r) as solved for _solved_inner.
         """
         r, Q = self.spec.r, self.spec.Q
         pending, kept = np.array([[r, 1.0]]), []
@@ -713,6 +777,8 @@ class MinimizerProfile:
             nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _LOBATTO
             nodes[:, 0], nodes[:, -1] = hi[:, 0], lo[:, 0]
             values = self.psi.radius(nodes)
+            # p(r) as solved once, on its own bracket
+            values[nodes == r] = self._solved_inner[1]
             even = _barycentric(nodes[:, 1::2].T, nodes[:, ::2].T,
                                 values[:, ::2].T, _BARY_EVEN)
             good = np.max(np.abs(even - values[:, 1::2].T), axis=0) <= _TABLE_TOL * Q

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 import annuharm.solver as solver
 import annuharm.verify as verify
 from annuharm import (
+    BelowCritical,
     DivergentModulus,
     NoConvergence,
     ProblemSpec,
@@ -99,8 +100,8 @@ class TestWork:
         # the critical data are those the solve before it scanned.  The
         # suite's solve reads the table at c0 (built by the solve before it
         # for every c < 0) from its cache; a conformal solve ends on its one
-        # table, at c = 0, and a critical one on the tables at c = 0 and c0,
-        # all still cached
+        # table, at c = 0, and a critical one on its one table, at c0, both
+        # still cached
         metric = parse_metric(name)
         spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
         c = solve_c(spec)
@@ -124,9 +125,10 @@ class TestWork:
         assert counts == {"critical": 1, "psi": builds + 1, "solve": 0}
 
     @pytest.mark.parametrize("name, q, Q, r, tables", [
-        ("sphere", 0.5, 1.0, 0.4, 6),
-        # Critical: the tables at c = 0 and at c0 and no other
-        ("euclidean", 0.8, 1.0, 0.5, 2),
+        # the collar probe, c0 and the root
+        ("sphere", 0.5, 1.0, 0.4, 3),
+        # Critical: the table at c0 and no other
+        ("euclidean", 0.8, 1.0, 0.5, 1),
     ])
     def test_critical_table_built_once(self, monkeypatch, name, q, Q, r,
                                        tables):
@@ -149,6 +151,25 @@ class TestWork:
         critical_inner_radius(metric, q, Q)
         assert built.count(critical_constant(metric, q, Q)) == 1
         assert len(built) == tables
+
+    def test_below_critical_builds_one_table(self, counts):
+        # mu(0) is known in closed form: only the table at c0 is built
+        spec = ProblemSpec(metric=EUCLID, q=0.8, Q=1.0, r=0.3)
+        with pytest.raises(BelowCritical):
+            solve_c(spec)
+        assert counts["psi"] == 1
+
+    @pytest.mark.parametrize("name, q, Q, r, tables", [
+        # Expanding: one table to bracket the root, one at the root
+        ("sphere", 0.5, 1.0, 0.7, 2),
+        # Subcritical: the collar probe, c0 and the root
+        ("sphere", 0.5, 1.0, 0.4, 3),
+    ])
+    def test_iterates_read_built_tables(self, counts, name, q, Q, r, tables):
+        # the iterates of the root search read mu and mu' off the Gauss
+        # nodes of a table already built
+        solve_c(ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r))
+        assert counts["psi"] <= tables
 
     @pytest.mark.parametrize("command, extra", [
         ("solve", ["--r", "0.7"]),
@@ -393,6 +414,37 @@ def test_layer_far_below_collar():
     c = critical_constant(EUCLID, 3.1, 9.7) + 2.9e-13
     psi = Psi(EUCLID, 3.1, 9.7, c)
     assert abs(psi.total - _euclidean_modulus(3.1, 9.7, c)) <= 1e-10
+
+
+@pytest.mark.parametrize("q, Q", list(_UNSEEDED_PANELS))
+def test_euclidean_round_trip_across_regimes(q, Q):
+    # c from 1e-10 |c0| above c0 through c = 0 (conformal) to expanding
+    # constants up to 1e3: the solved c meets the closed-form modulus
+    c0 = critical_constant(EUCLID, q, Q)
+    lifts = [c0 + lift * abs(c0) for lift in (1e-10, 1e-6, 1e-2, 1.0, 10.0)]
+    for c in lifts + [1e3]:
+        r = math.exp(-_euclidean_modulus(q, Q, c))
+        solved = solve_c(ProblemSpec(metric=EUCLID, q=q, Q=Q, r=r))
+        gap = _euclidean_modulus(q, Q, solved) - math.log(1.0 / r)
+        assert abs(gap) <= TOL_C, (c, solved, gap)
+
+
+def test_nodes_refused_nearer_c0(monkeypatch):
+    # the Gauss nodes of a table 1e-6 |c0| above c0 put mu 2.9e-13 above c0
+    # 1.6e-7 off: its panels do not reach that boundary layer.  The table is
+    # refused on distance alone, even where its error estimate reads 0
+    c0 = critical_constant(EUCLID, 3.1, 9.7)
+    psi = Psi(EUCLID, 3.1, 9.7, c0 + 1e-6 * abs(c0))
+    c = c0 + 2.9e-13
+    mu, _, slope = psi._moments(c)
+    assert abs(mu - _euclidean_modulus(3.1, 9.7, c)) > 1e-8
+    assert solver._reread(psi, c) is None
+    # further from c0 than the table, the nodes serve
+    far = c0 + 2e-6 * abs(c0)
+    mu_far, _ = solver._reread(psi, far)
+    assert abs(mu_far - _euclidean_modulus(3.1, 9.7, far)) <= 1e-11
+    monkeypatch.setattr(psi, "_moments", lambda c: (mu, 0.0, slope))
+    assert solver._reread(psi, c) is None
 
 
 @mpmath.workdps(30)

@@ -250,12 +250,16 @@ class TestBuildProfile:
     def test_flat_first_integral_is_no_mismatch(self, name, q, Q, r):
         # Psi is flat next to q, so a modulus gap within tol_c leaves the
         # solved p(r) further than 1e-6 Q from q: the data are consistent all
-        # the same, and the boundary condition p(r) = q places the inner end
+        # the same, and the boundary condition p(r) = q places the inner end.
+        # c is solved for a modulus 5e-10 above log(1/r), so the gap does not
+        # hang on how close the root search lands
         metric = parse_metric(name)
         spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
-        c = solve_c(spec)
+        c = solve_c(ProblemSpec(metric=metric, q=q, Q=Q,
+                                r=r * math.exp(-5e-10)))
         prof = build_profile(spec, c)
-        assert abs(prof.psi.total - math.log(1.0 / r)) <= 1e-9
+        assert 4e-10 <= prof.psi.total - math.log(1.0 / r) <= 1e-9
+        assert abs(prof._solved_inner[1] - q) > 1e-6 * Q
         assert prof.inner == q
         assert prof.classification == "Expanding"
         # c > 0: sup |Dw| is p' at the inner end, inf l(Dw) the edge q/r
