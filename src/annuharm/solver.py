@@ -86,7 +86,6 @@ _SINGULAR_OFFSET = 1e-12
 _NEWTON_STEPS = 60
 # the smallest normal float
 _TINY = np.finfo(float).tiny
-_KNOTS = 256
 # the profile table on [r, 1]: Chebyshev-Lobatto pieces of degree _DEGREE in
 # s, bisected until the interpolant on a piece's even nodes meets its odd
 # nodes within _TABLE_TOL Q; more than _MAX_PIECES pieces raise NoConvergence
@@ -318,17 +317,6 @@ class Psi:
         edges = np.append(rungs[:last + 1], 0.0)
         return edges if far < 0.0 else edges[::-1]
 
-    @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """About _KNOTS points splitting the panels evenly, with Psi there:
-        they bracket and start the Newton solve of the forward map."""
-        parts = max(1, _KNOTS // (self.edges.size - 1))
-        frac = np.arange(parts) / parts
-        widths = np.diff(self.edges)
-        knots = (self.edges[:-1, None] + widths[:, None] * frac).ravel()
-        return (np.append(knots, self.edges[-1]),
-                np.append(self.at_v(knots), 0.0))
-
     def v_of_y(self, y):
         d = np.asarray(y, dtype=float) - self.anchor
         return np.sign(d) * np.sqrt(np.abs(d))
@@ -356,15 +344,13 @@ class Psi:
         terms = y * y + np.abs(radicand - y * y)
         return g, g * _EPS * terms / np.abs(radicand)
 
-    def _gauss(self, a, b, weight=None):
-        """int_a^b g (times weight(y)) dv by one 15-point rule, elementwise."""
+    def _gauss(self, a, b):
+        """int_a^b g dv by one 15-point rule, elementwise."""
         a = np.asarray(a, dtype=float)
         width = np.asarray(b, dtype=float) - a
         nodes = a[..., None] + width[..., None] * _NODES01
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = self.g(nodes)
-            if weight is not None:
-                vals = vals * weight(self.y_of_v(nodes))
             # a per-row sum: a BLAS product rounds a row by its place in the
             # batch, and p(s) must not depend on the points asked with it
             total = np.einsum("...j,j->...", vals, _WEIGHTS01)
@@ -384,46 +370,56 @@ class Psi:
     def v_of_log(self, target):
         """v with Psi(y(v)) = target (target = log(1/s), vectorized).
 
-        Safeguarded Newton: knots where Psi is known bracket the root in v,
-        and interpolating Psi linearly in y between them starts the
-        iteration.  A single target (such as p(r), next to the first edge,
-        where Psi(q) = mu meets log(1/r)) is bracketed by the panel edges,
-        where Psi is the table's exact tail sum; a bulk call by the finer
-        _knots, which cost one evaluation of Psi each.  Above the critical
-        constant the step is taken in y, where dPsi/dy = -1/sqrt(radicand)
-        is finite and nonzero at the anchor; dPsi/dv vanishes there, so a
-        step in v would gain one bit per sweep next to it.  At the critical
-        constant the radicand vanishes at the anchor, and the step stays in
-        v.  A step leaving the bracket is replaced by bisection in v.
+        Safeguarded Newton: the panel edges, where Psi is the table's exact
+        tail sum, bracket the root in v, and the cubic Hermite inverse on the
+        bracketing panel starts the iteration: y as a cubic in the fraction
+        of the panel's Psi drop, matching y and dy/dPsi = -sqrt(radicand) at
+        both edges.  Every target is bracketed and started alike, so a
+        point's v does not depend on the targets asked with it.
+
+        Above the critical constant the step is taken in y, where dPsi/dy =
+        -1/sqrt(radicand) is finite and nonzero at the anchor; dPsi/dv
+        vanishes there, so a step in v would gain one bit per sweep next to
+        it.  At the critical constant the radicand vanishes at the anchor,
+        and the step stays in v.  A step leaving the bracket is replaced by
+        bisection in v.
         Below q the bracket extends to a floor, and where the radicand turns
         negative the profile stops at its zero, as the profile equation does.
         Raises NoConvergence for a point unresolved after _NEWTON_STEPS
         sweeps.
         """
         target = np.asarray(target, dtype=float).ravel()
-        knots, known = ((self.edges, self.tail) if target.size == 1
-                        else self._knots)
-        k = np.clip(np.searchsorted(-known, -target, side="right") - 1, 0,
-                    knots.size - 2)
-        below = target > known[0]
+        edges, tail = self.edges, self.tail
+        k = np.clip(np.searchsorted(-tail, -target, side="right") - 1, 0,
+                    edges.size - 2)
+        below = target > tail[0]
         # a profile reaching this far below q fails the mismatch check anyway
         span = self.Q - self.q
         floor = max(self.q - span, 0.5 * self.q, self.metric.valid_interval[0])
-        lo = np.where(below, self.v_of_y(floor), knots[k])
-        hi = np.where(below, knots[0], knots[k + 1])
+        lo = np.where(below, self.v_of_y(floor), edges[k])
+        hi = np.where(below, edges[0], edges[k + 1])
         y_lo, y_hi = self.y_of_v(lo), self.y_of_v(hi)
-        frac = (known[k] - target) / (known[k] - known[k + 1])
-        slope_q = np.sqrt(max(self._radicand(self.q), 0.0))
-        y0 = np.where(below, self.q - (target - known[0]) * slope_q,
-                      y_lo + frac * (y_hi - y_lo))
+        # -dy/dPsi = sqrt(radicand) at both ends of each bracket and at q
+        root = np.sqrt(np.maximum(
+            self._radicand(np.concatenate((y_lo, y_hi, [self.q]))), 0.0))
+        slope_q = root[-1]
+        drop = tail[k] - tail[k + 1]
+        t = (tail[k] - target) / drop
+        # the cubic Hermite y(t) with y(0) = y_lo, y(1) = y_hi and slopes
+        # dy/dt = m_lo, m_hi there
+        m_lo, m_hi = drop * root[:-1].reshape(2, -1)
+        rise = y_hi - y_lo
+        cubic = y_lo + t * (m_lo + t * ((3.0 * rise - 2.0 * m_lo - m_hi)
+                                        + t * (m_lo + m_hi - 2.0 * rise)))
+        y0 = np.where(below, self.q - (target - tail[0]) * slope_q, cubic)
         v = np.clip(self.v_of_y(y0), lo, hi)
-        tol = 2.0**-50 * (knots[-1] - knots[0])
+        tol = 2.0**-50 * (edges[-1] - edges[0])
         in_y = self.c > self.critical_c
         # a few ulps of the profile's largest radius
         tol_y = 2.0**-50 * self.Q
         # the profile cannot leave q when the radicand vanishes there
         active = ~(below & (slope_q == 0.0))
-        v[~active] = knots[0]
+        v[~active] = edges[0]
         for _ in range(_NEWTON_STEPS):
             idx = np.flatnonzero(active)
             if idx.size == 0:
@@ -767,8 +763,9 @@ class MinimizerProfile:
 
         p is analytic on [r, 1].  A piece is kept when the interpolant on
         its even nodes meets its odd nodes within _TABLE_TOL Q, and is
-        bisected otherwise; the nodes of one round are solved in one call,
-        except the end at r, which is p(r) as solved for _solved_inner.
+        bisected otherwise; the nodes of one round are solved in one call.
+        Psi.v_of_log solves a point alone as in a batch, so the end at r is
+        p(r) as solved for _solved_inner, bitwise.
         """
         r, Q = self.spec.r, self.spec.Q
         pending, kept = np.array([[r, 1.0]]), []
@@ -777,8 +774,6 @@ class MinimizerProfile:
             nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _LOBATTO
             nodes[:, 0], nodes[:, -1] = hi[:, 0], lo[:, 0]
             values = self.psi.radius(nodes)
-            # p(r) as solved once, on its own bracket
-            values[nodes == r] = self._solved_inner[1]
             even = _barycentric(nodes[:, 1::2].T, nodes[:, ::2].T,
                                 values[:, ::2].T, _BARY_EVEN)
             good = np.max(np.abs(even - values[:, 1::2].T), axis=0) <= _TABLE_TOL * Q

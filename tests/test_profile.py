@@ -156,7 +156,6 @@ def sweeps(monkeypatch):
     v_of_log, at_v = Psi.v_of_log, Psi.at_v
 
     def counted_v_of_log(self, target):
-        self._knots  # built by at_v, but not a sweep
         open_calls.append(0)
         try:
             return v_of_log(self, target)
@@ -191,6 +190,27 @@ def test_newton_in_y_at_anchor(sweeps):
     prof = build_profile(spec, solve_c(spec))
     assert prof.psi.anchor == spec.q and prof.c > prof.critical_c
     assert sweeps == [sweeps[0]] and sweeps[0] <= 2
+
+
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + POWER_CONFIGS)
+def test_inverse_does_not_depend_on_batch(name, q, Q, r):
+    # every target is bracketed by the table's panels and started alike, so
+    # a point's v is the same asked alone or with others
+    psi = _solved(name, q, Q, r).psi
+    s = np.concatenate(([r, 0.999 * r, 1.0 - 1e-9], np.linspace(r, 1.0, 61)))
+    targets = -np.log(s)
+    alone = [psi.v_of_log(target)[0] for target in targets]
+    assert np.array_equal(psi.v_of_log(targets), alone)
+
+
+@pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + POWER_CONFIGS)
+def test_inner_radius_takes_one_sweep(name, q, Q, r, sweeps):
+    # the cubic Hermite inverse on p(r)'s panel, next to the first edge,
+    # starts Newton within one sweep of the root
+    psi = _solved(name, q, Q, r).psi
+    sweeps.clear()
+    psi.v_of_log(-np.log(r))
+    assert sweeps == [sweeps[0]] and sweeps[0] <= 1
 
 
 def test_newton_budget_raises(monkeypatch):
