@@ -86,19 +86,6 @@ _SINGULAR_OFFSET = 1e-12
 _NEWTON_STEPS = 60
 # the smallest normal float
 _TINY = np.finfo(float).tiny
-# the profile table on [r, 1]: Chebyshev-Lobatto pieces of degree _DEGREE in
-# s, bisected until the interpolant on a piece's even nodes meets its odd
-# nodes within _TABLE_TOL Q; more than _MAX_PIECES pieces raise NoConvergence
-_DEGREE = 32
-_TABLE_TOL = 1e-10
-_MAX_PIECES = 4096
-# the Lobatto points on [-1, 1] from 1 down to -1, symmetric bitwise
-_LOBATTO = np.sin(0.5 * np.pi * np.arange(_DEGREE, -_DEGREE - 1, -2) / _DEGREE)
-# their barycentric weights, and those of the even points alone
-_BARY = np.resize([1.0, -1.0], _DEGREE + 1)
-_BARY[[0, -1]] *= 0.5
-_BARY_EVEN = np.resize([1.0, -1.0], _DEGREE // 2 + 1)
-_BARY_EVEN[[0, -1]] *= 0.5
 # 15-point Gauss-Legendre rule on [0, 1], the fine rule of the panels
 _NODES01 = 0.5 * (_GAUSS_HI[0] + 1.0)
 _WEIGHTS01 = 0.5 * _GAUSS_HI[1]
@@ -462,7 +449,9 @@ class Psi:
         below r; exactly Q for s >= 1, where the profile is not continued (the
         fields' slack sends points like 1 + 1e-13 here).  Each distinct
         radius is solved once."""
-        target = -np.log(np.asarray(s, dtype=float))
+        # the log of a contiguous copy: numpy rounds the log of a strided or
+        # reversed view differently, and p(s) must not depend on the layout
+        target = -np.log(np.array(s, dtype=float))
         distinct, where = np.unique(target, return_inverse=True)
         p = self.y_of_v(self.v_of_log(distinct))[where].reshape(target.shape)
         p = np.where(target <= 0.0, self.Q, p)
@@ -676,25 +665,6 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     return c
 
 
-def _barycentric(x, nodes, values, weights):
-    """The polynomial through (nodes, values) at x by the second
-    barycentric formula; the node axis is the first of nodes and values.
-
-    The sums run node by node, so each point's sum has the same order in
-    any batch, and an exact node hit takes the node's value."""
-    num = den = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for node, value, weight in zip(nodes, values, weights):
-            d = weight / (x - node)
-            num = num + d * value
-            den = den + d
-        p = num / den
-    if not np.all(np.isfinite(p)):
-        for node, value in zip(nodes, values):
-            p = np.where(x == node, value, p)
-    return p
-
-
 def _classify(c: float, c_crit: float) -> str:
     """The class of c as solve_c returns it: exactly 0 for a conformal pair
     and exactly c0 for a critical one, so no tolerance (which would carry
@@ -711,11 +681,10 @@ class MinimizerProfile:
     """A solved radial minimizer.
 
     ``psi`` is the first integral the profile is read from: ``profile(s)``
-    inverts log(1/s) = Psi(p), read on [r, 1] from a table of Chebyshev
-    pieces in s built from Psi on the first call, ``inverse(p)`` is
-    exp(-Psi(p)) on [q, Q] and ``slope(s)`` is p'(s).  ``c`` is the
-    variational constant of the modulus equation and ``critical_c`` the
-    critical constant of the (q, Q, metric) triple.
+    inverts log(1/s) = Psi(p), ``inverse(p)`` is exp(-Psi(p)) on [q, Q]
+    and ``slope(s)`` is p'(s).  ``c`` is the variational constant of the
+    modulus equation and ``critical_c`` the critical constant of the
+    (q, Q, metric) triple.
     """
 
     c: float
@@ -736,7 +705,7 @@ class MinimizerProfile:
         else q itself.  build_profile admits a p(r) that far from q only
         where Psi is so flat next to q that a modulus gap within tol_c moves
         it there; the boundary condition p(r) = q then places the inner end
-        (the table keeps the solved p(r))."""
+        (profile(r) keeps the solved p(r))."""
         v, p = self._solved_inner
         q = self.spec.q
         if abs(p - q) > 1e-6 * self.spec.Q:
@@ -754,72 +723,17 @@ class MinimizerProfile:
         and the energy start (see ``_inner``)."""
         return self._inner[1]
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(breaks, nodes, values): the pieces [breaks[k], breaks[k + 1]] of
-        [r, 1] in s, each with p solved at its _DEGREE + 1 Chebyshev-Lobatto
-        nodes, from nodes[k, 0] = breaks[k + 1] down to nodes[k, -1] =
-        breaks[k].
-
-        p is analytic on [r, 1].  A piece is kept when the interpolant on
-        its even nodes meets its odd nodes within _TABLE_TOL Q, and is
-        bisected otherwise; the nodes of one round are solved in one call.
-        Psi.v_of_log solves a point alone as in a batch, so the end at r is
-        p(r) as solved for _solved_inner, bitwise.
-        """
-        r, Q = self.spec.r, self.spec.Q
-        pending, kept = np.array([[r, 1.0]]), []
-        while pending.size:
-            lo, hi = pending[:, :1], pending[:, 1:]
-            nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _LOBATTO
-            nodes[:, 0], nodes[:, -1] = hi[:, 0], lo[:, 0]
-            values = self.psi.radius(nodes)
-            even = _barycentric(nodes[:, 1::2].T, nodes[:, ::2].T,
-                                values[:, ::2].T, _BARY_EVEN)
-            good = np.max(np.abs(even - values[:, 1::2].T), axis=0) <= _TABLE_TOL * Q
-            kept.append((nodes[good], values[good]))
-            mid = nodes[~good, _DEGREE // 2]
-            pending = np.concatenate((np.stack((lo[~good, 0], mid), axis=1),
-                                      np.stack((mid, hi[~good, 0]), axis=1)))
-            if sum(n.shape[0] for n, _ in kept) + pending.shape[0] > _MAX_PIECES:
-                raise NoConvergence(
-                    f"profile table on [{r}, 1] needs more than {_MAX_PIECES} "
-                    f"pieces; unresolved on [{pending[0, 0]:.17g}, "
-                    f"{pending[0, 1]:.17g}]")
-        nodes, values = (np.concatenate(part) for part in zip(*kept))
-        order = np.argsort(nodes[:, -1])
-        nodes, values = nodes[order], values[order]
-        return np.append(nodes[:, -1], 1.0), nodes, values
-
-    def _read(self, s: np.ndarray) -> np.ndarray:
-        """p at points s of [r, 1] (1-D), from the table."""
-        breaks, nodes, values = self._table
-        k = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0,
-                    nodes.shape[0] - 1)
-        p = np.empty_like(s)
-        for i in np.unique(k):
-            at = k == i
-            p[at] = _barycentric(s[at], nodes[i], values[i], _BARY)
-        return p
-
     def profile(self, s):
-        """p(s), scalar or array: on [r, 1] read from the table by
-        barycentric interpolation, below r solved from Psi(p) = log(1/s),
-        and Q above 1 (see Psi.radius).  A point's value does not depend on
-        the points asked with it.  Raises OutOfAnnulus where s is not a
-        positive finite number."""
+        """p(s), scalar or array, solved from Psi(p) = log(1/s): continued
+        past q below r, and Q above 1 (see Psi.radius).  A point's value
+        does not depend on the points asked with it.  Raises OutOfAnnulus
+        where s is not a positive finite number."""
         s = np.asarray(s, dtype=float)
         bad = ~(np.isfinite(s) & (s > 0.0))
         if bad.any():
             raise OutOfAnnulus(f"radius {s[bad].flat[0]} is not a positive "
                                f"finite number")
-        inside = (s >= self.spec.r) & (s <= 1.0)
-        p = np.empty(s.shape)
-        if inside.any():
-            p[inside] = self._read(s[inside])
-        if not inside.all():
-            p[~inside] = self.psi.radius(s[~inside])
-        return float(p) if p.ndim == 0 else p
+        return self.psi.radius(s)
 
     def inverse(self, p):
         """s(p) = exp(-Psi(p)), scalar or array."""

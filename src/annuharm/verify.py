@@ -136,10 +136,7 @@ def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
     z = (s[:, None] * np.exp(1j * t)[None, :]).ravel()
     pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
     radii = np.abs(pts)
-    # solved from Psi, not read from the profile table: the residuals divide
-    # by 4 h^2, and the table's ulp noise would lift them above the noise
-    # floor of their order checks
-    return _Stencil(h, pts, radii, profile.psi.radius(radii))
+    return _Stencil(h, pts, radii, profile.profile(radii))
 
 
 def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> float:
@@ -242,22 +239,39 @@ def minimality_probe(
     Perturbs the profile by random fixed-endpoint bumps at amplitudes eps
     and eps/10 and checks that the discretized energy never drops and that
     the excess scales quadratically.  Competitors are radial with fixed
-    boundary values; this is radial local minimality only.
+    boundary values; this is radial local minimality only.  The energy is
+    sampled at 2,049 uniform points of the first integral's variable v,
+    from p(r) to Q, where p = y(v) and s = exp(-Psi) need no inverse, and
+    integrated by Simpson's rule in v with s ds = s^2 g(v) dv.
     """
     if eps > 1e-2:
         raise ValueError("eps must be at most 1e-2")
     rng = np.random.default_rng(seed)
     spec = profile.spec
     r = spec.r
-    s = np.linspace(r, 1.0, 4097)
+    psi = profile.psi
+    v = np.linspace(profile.inner_v, psi.edges[-1], 2049)
+    p0 = psi.y_of_v(v)
+    s = np.exp(-psi.at_v(v))
+    s[0], s[-1] = r, 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = psi.g(v)
+    # at the critical constant g is 0/0 at the anchor a; its limit there is
+    # 2 sqrt(rho(a) / |w'(a)|) for the weight w = y^2 rho
+    at_anchor = ~np.isfinite(g) & (p0 == psi.anchor)
+    if at_anchor.any():
+        a = psi.anchor
+        rho = psi.metric.eval(a)
+        slope_w = 2.0 * a * rho + a * a * psi.metric.deriv(a)
+        g[at_anchor] = 2.0 * math.sqrt(rho / abs(slope_w))
+    weight = s * s * g
     basis = _sine_basis((s - r) / (1.0 - r))
-    p0 = profile.profile(s)
-    dp0 = profile.psi.slope(s, p0)
+    dp0 = psi.slope(s, p0)
     lo, hi = metric.valid_interval
 
     def discrete_energy(p, dp):
-        integrand = metric.eval(p) * (dp * dp + (p / s) ** 2) * s
-        return 2.0 * math.pi * _simpson(integrand, s)
+        integrand = metric.eval(p) * (dp * dp + (p / s) ** 2) * weight
+        return 2.0 * math.pi * _simpson(integrand, v)
 
     base = discrete_energy(p0, dp0)
     min_excess = math.inf
@@ -429,8 +443,8 @@ def run_full_suite(
     )
 
     # admissibility of the constant along the profile
-    s_dense = np.linspace(r, 1.0, 512)
-    p_dense = profile.profile(s_dense)
+    psi = profile.psi
+    p_dense = psi.y_of_v(np.linspace(profile.inner_v, psi.edges[-1], 512))
     constraint = p_dense**2 * metric.eval(p_dense) + c
     report.checks.append(
         CheckRecord.measure(

@@ -106,13 +106,12 @@ class TestSolve:
         assert doc == {"error": "NoConvergence", "stage": "solver.solve_c",
                        "detail": doc["detail"]}
         # the stage is the outermost public library call: run_full_suite,
-        # not the solver.profile call under it where the table gives up
-        code, text = run_main("verify", "--metric", "power:300", "--q", "0.5",
-                              "--Q", "1", "--r", "0.6")
+        # not the solver.solve_c call under it where the bracket gives up
+        code, text = run_main("verify", "--metric", "euclidean", "--q", "0.5",
+                              "--Q", "1", "--r", "0.999999999")
         assert code == 4
         doc = json.loads(text)
-        assert doc["detail"].startswith(
-            "profile table on [0.6, 1] needs more than 4096 pieces")
+        assert doc["detail"].startswith("could not bracket c upward: ")
         assert doc == {"error": "NoConvergence",
                        "stage": "verify.run_full_suite", "detail": doc["detail"]}
 

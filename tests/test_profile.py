@@ -40,7 +40,7 @@ TWELVE_CONFIGS = [
     ("inverse_r", 0.5, 1.0, 0.5), ("sphere", 0.5, 1.0, 0.5),
     ("hyperbolic", 0.3, 0.8, 0.5), ("hyperbolic", 0.3, 0.8, 0.3),
 ]
-# the profile tables with the most pieces seen: 16 at c = 1.2e5, and 5
+# a steep profile at c = 1.2e5, and a subcritical one 0.3% of |c0| above c0
 POWER_CONFIGS = [("power:4", 0.2105, 9.07, 0.607),
                  ("power:-2", 4.9368, 6.0769, 0.024577)]
 
@@ -96,41 +96,24 @@ def test_profile_independent_of_batch(name, q, Q, r):
 
 @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + POWER_CONFIGS)
 def test_table_matches_first_integral(name, q, Q, r):
+    # the Psi table's ends are the profile's: p(r) is its inner value, and
+    # p(1) is Q
     prof = _solved(name, q, Q, r)
-    s = np.linspace(r, 1.0, 4097)
-    assert np.max(np.abs(prof.profile(s) - prof.psi.radius(s))) <= 1e-14 * Q
-    # the end nodes are the ends: p(r) is the profile's inner value
     assert prof.profile(r) == prof.inner and prof.profile(1.0) == Q
-    # a point below r, inside the annulus slack, is solved from Psi
-    below = r - 5e-13
-    assert prof.profile(below) == prof.psi.radius(below)
 
 
-def test_profile_reads_table_after_one_solve_per_round(monkeypatch):
-    prof = _solved(*POWER_CONFIGS[0])
-    sizes = []
-    v_of_log = Psi.v_of_log
-    monkeypatch.setattr(Psi, "v_of_log", lambda self, target: (
-        sizes.append(np.size(target)), v_of_log(self, target))[1])
-    s = np.linspace(prof.spec.r, 1.0, 33)
-    expected = prof.profile(s)
-    # the pieces halve [r, 1]: a piece of depth d was solved in round d + 1
-    breaks = prof._table[0]
-    depth = np.round(np.log2((1.0 - prof.spec.r) / np.diff(breaks)))
-    assert breaks.size > 2 and len(sizes) == depth.max() + 1
-    assert sizes[0] == solver._DEGREE + 1
-    sizes.clear()
-    repeated = np.stack([s, s[::-1], s])
-    assert np.array_equal(prof.profile(repeated), np.stack(
-        [expected, expected[::-1], expected]))
-    assert sizes == []
-
-
-def test_table_piece_cap(monkeypatch):
-    monkeypatch.setattr(solver, "_MAX_PIECES", 8)
-    prof = _solved(*POWER_CONFIGS[0])
-    with pytest.raises(NoConvergence, match="more than 8 pieces"):
-        prof.profile(0.8)
+@pytest.mark.parametrize("name, q, Q, r", [("euclidean", 0.8, 1.0, 0.9),
+                                           POWER_CONFIGS[0]])
+def test_radius_independent_of_layout(name, q, Q, r):
+    # numpy rounds the log of a reversed or strided view differently from
+    # that of a contiguous array: Psi.radius must not see the difference
+    psi = _solved(name, q, Q, r).psi
+    s = np.linspace(r, 1.0, 97)
+    alone = np.array([psi.radius(float(x)) for x in s])
+    assert np.array_equal(psi.radius(s), alone)
+    assert np.array_equal(psi.radius(s[::-1]), alone[::-1])
+    assert np.array_equal(psi.radius(s[::3]), alone[::3])
+    assert np.array_equal(psi.radius(s[::-2]), alone[::-2])
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan,

@@ -103,6 +103,23 @@ class TestMinimalityProbe:
         report = minimality_probe(euclid_critical, EUCLID, 20, 1e-2, seed=42)
         assert report.all_passed
 
+    @pytest.mark.parametrize("name, q, r, anchor, excess", [
+        ("euclidean", 0.8, 0.5, 0.8, -4.6572036e-05),
+        ("power:-3", 0.5, 0.17157287525380366, 1.0, -2.5678264e-05),
+    ])
+    def test_critical_anchor(self, name, q, r, anchor, excess):
+        # at the critical constant g is 0/0 at the anchor, the profile's
+        # inner end (y* = q) or outer end (y* = Q); the probe reads its limit
+        # there, and meets the excess of a 262,145-point grid
+        metric = parse_metric(name)
+        spec = ProblemSpec(metric=metric, q=q, Q=1.0, r=r)
+        prof = build_profile(spec, solve_c(spec))
+        assert prof.classification == "Critical" and prof.psi.anchor == anchor
+        report = minimality_probe(prof, metric, 20, 1e-2, seed=42)
+        assert all(math.isfinite(check.measured) for check in report.checks)
+        assert report["radial_minimality_excess"].measured == pytest.approx(
+            excess, rel=1e-6)
+
     def test_zero_amplitude_excess_is_zero(self, euclid_critical):
         # the probe's discretized energy at zero perturbation is the baseline
         spec = euclid_critical.spec
