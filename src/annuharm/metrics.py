@@ -44,6 +44,15 @@ class RadialMetric:
     ``deriv2`` by the curvature.  A metric compares and hashes by identity:
     two metrics may share a name but not a density, and any callable,
     hashable or not, may serve as one.
+
+    Two optional fields state where the minima over any [q, Q] inside
+    ``valid_interval`` lie, so the solver reads them at q and Q instead of
+    scanning [q, Q]; at their defaults (False, None) it scans.
+    ``endpoint_minima`` says that the density and the weight w = y^2 rho
+    each take their minimum over [q, Q] at q or Q, as where each is
+    monotone or peaks once.  ``constant_weight`` is the value of w where it
+    is constant, so that every radius is critical.  Both describe ``eval``:
+    replace them along with it, unless the new ``eval`` is the same density.
     """
 
     eval: Callable
@@ -51,6 +60,8 @@ class RadialMetric:
     deriv2: Callable
     valid_interval: tuple[float, float]
     name: str
+    endpoint_minima: bool = False
+    constant_weight: float | None = None
 
     def contains(self, q: float, Q: float) -> bool:
         lo, hi = self.valid_interval
@@ -91,6 +102,7 @@ def _euclidean() -> RadialMetric:
         deriv2=lambda y: _shaped(y, np.zeros_like(np.asarray(y, dtype=float))),
         valid_interval=(0.0, math.inf),
         name="euclidean",
+        endpoint_minima=True,
     )
 
 
@@ -101,6 +113,7 @@ def _inverse_r() -> RadialMetric:
         deriv2=lambda y: 2.0 / y**3,
         valid_interval=(0.0, math.inf),
         name="inverse_r",
+        endpoint_minima=True,
     )
 
 
@@ -111,6 +124,8 @@ def _sphere() -> RadialMetric:
         deriv2=lambda y: (20.0 * y**2 - 4.0) / (1.0 + y**2) ** 4,
         valid_interval=(0.0, math.inf),
         name="sphere",
+        # w = y^2/(1 + y^2)^2 peaks at y = 1
+        endpoint_minima=True,
     )
 
 
@@ -121,6 +136,7 @@ def _hyperbolic() -> RadialMetric:
         deriv2=lambda y: (4.0 + 20.0 * y**2) / (1.0 - y**2) ** 4,
         valid_interval=(0.0, _HYPERBOLIC_EDGE),
         name="hyperbolic",
+        endpoint_minima=True,
     )
 
 
@@ -131,6 +147,9 @@ def _power(a: float) -> RadialMetric:
         deriv2=lambda y: a * (a - 1.0) * y ** (a - 2.0),
         valid_interval=(0.0, math.inf),
         name=f"power:{a:g}",
+        # w = y^(a+2) is monotone, and constant at a = -2
+        endpoint_minima=True,
+        constant_weight=1.0 if a == -2.0 else None,
     )
 
 

@@ -133,9 +133,13 @@ def _weight(metric: RadialMetric, y):
 def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, float]:
     """(argmin, -min) of y^2 rho(y) on [q, Q].
 
-    Raises OutOfDomain where y^2 rho(y) at a scanned point is not a normal
-    float: an infinite or subnormal weight leaves the modulus integrand
-    without the digits that resolve c."""
+    A metric with ``endpoint_minima`` is read at q and Q, the smaller
+    weight winning (q on a tie, as the scan's argmin takes the first); one
+    with a ``constant_weight`` has its critical radius at the midpoint of
+    [q, Q], which scales with the annulus, and c0 = -constant_weight.  Any
+    other metric is scanned.  Raises OutOfDomain where y^2 rho(y) at a
+    point read is not a normal float: an infinite or subnormal weight
+    leaves the modulus integrand without the digits that resolve c."""
     _check_interval(metric, q, Q)
 
     def weight(y):
@@ -148,6 +152,13 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
             )
         return w
 
+    if metric.endpoint_minima or metric.constant_weight is not None:
+        ends = np.array([q, Q])
+        w = weight(ends)
+        if metric.constant_weight is not None:
+            return 0.5 * (q + Q), -metric.constant_weight
+        k = int(w[1] < w[0])
+        return float(ends[k]), -float(w[k])
     y_star, w_min = minimize_scalar(weight, q, Q, 1e-13)
     return y_star, -w_min
 

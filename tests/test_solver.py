@@ -1,8 +1,10 @@
 """Solver contracts: critical constant, modulus equation, first-integral
 profile."""
 
+import dataclasses
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +23,13 @@ from annuharm import (
     critical_inner_radius,
     euclidean_nitsche_map,
     find_root_bracketed,
+    kk_constants,
     lipschitz_constant,
     modulus_of_c,
     parse_metric,
     solve_c,
 )
+from annuharm import fields, solver
 
 EUCLID = parse_metric("euclidean")
 INV_R = parse_metric("inverse_r")
@@ -340,3 +344,88 @@ def test_unrepresentable_weight_out_of_domain(name, Q):
     with pytest.raises(OutOfDomain):
         solve_c(ProblemSpec(metric=metric, q=0.5, Q=Q, r=0.6))
     assert time.perf_counter() - start < 1.0
+
+
+def _scanned(metric):
+    """The same density without its declared minima: read by the scans."""
+    return dataclasses.replace(metric, endpoint_minima=False,
+                               constant_weight=None)
+
+
+def _annuli(name, n, seed):
+    """n annuli drawn as in the verify fuzz: Q log-uniform in [0.3, 10]
+    (U(0.3, 0.95) for hyperbolic), q = Q U(0.1, 0.9)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        if name == "hyperbolic":
+            Q = rng.uniform(0.3, 0.95)
+        else:
+            Q = math.exp(rng.uniform(math.log(0.3), math.log(10.0)))
+        yield Q * rng.uniform(0.1, 0.9), Q
+
+
+_FAMILIES = ["euclidean", "inverse_r", "sphere", "hyperbolic", "power:-3",
+             "power:-1.5", "power:1", "power:2", "power:4"]
+
+
+class TestDeclaredMinima:
+    @pytest.mark.parametrize("name", _FAMILIES)
+    def test_bitwise_the_scans(self, name):
+        # (y*, c0) is the scan's wherever the scan lands on q or Q, and
+        # inf rho, read by kk_constants, the scan's everywhere
+        metric = parse_metric(name)
+        scanned = _scanned(metric)
+        at_ends = 0
+        for q, Q in _annuli(name, 20, seed=7):
+            scan = solver._critical_info(scanned, q, Q)
+            if scan[0] in (q, Q):
+                at_ends += 1
+                assert solver._critical_info(metric, q, Q) == scan
+            profile = SimpleNamespace(spec=SimpleNamespace(q=q, Q=Q, r=0.5),
+                                      c=1.0)
+            assert kk_constants(profile, metric) == kk_constants(profile,
+                                                                 scanned)
+        assert at_ends >= 10
+
+    def test_constant_weight(self):
+        # power:-2 has w = 1: every radius is critical, so y* lies inside and
+        # the critical modulus diverges at once
+        metric = parse_metric("power:-2")
+        for q, Q in _annuli("power:-2", 10, seed=7):
+            y_star, c0 = solver._critical_info(metric, q, Q)
+            assert c0 == -1.0 and q < y_star < Q
+            assert critical_inner_radius(metric, q, Q) == 0.0
+            with pytest.raises(DivergentModulus, match="interior radius"):
+                modulus_of_c(metric, q, Q, c0)
+
+    def test_sphere_tie_takes_q(self):
+        # w(0.5) = w(2) = 0.16 for the sphere: the scan's argmin takes q
+        assert solver._critical_info(SPHERE, 0.5, 2.0) == (0.5, -0.16)
+        assert solver._critical_info(_scanned(SPHERE), 0.5, 2.0) == (0.5, -0.16)
+        assert critical_inner_radius(SPHERE, 0.5, 2.0) == 0.030151892770306377
+        spec = ProblemSpec(metric=SPHERE, q=0.5, Q=2.0, r=0.1)
+        assert build_profile(spec, solve_c(spec)).classification == "Subcritical"
+
+    def test_scan_only_without_declaration(self, monkeypatch):
+        # a metric built without the fields scans once per critical lookup
+        # and once per kk_constants; a built-in never
+        calls = []
+        scan = solver.minimize_scalar
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(solver, "minimize_scalar", counted)
+        monkeypatch.setattr(fields, "minimize_scalar", counted)
+        user = RadialMetric(SPHERE.eval, SPHERE.deriv, SPHERE.deriv2,
+                            (0.0, math.inf), "sphere by hand")
+        profile = SimpleNamespace(spec=SimpleNamespace(q=0.5, Q=1.5, r=0.5),
+                                  c=1.0)
+        for metric, scans in ((user, 3), (SPHERE, 0)):
+            calls.clear()
+            solver._critical.cache_clear()
+            for Q in (1.5, 1.6):
+                critical_constant(metric, 0.5, Q)
+            kk_constants(profile, metric)
+            assert len(calls) == scans

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from annuharm import (
     PerturbationLeavesRange,
@@ -120,16 +119,16 @@ class TestMinimalityProbe:
         assert report["radial_minimality_excess"].measured == pytest.approx(
             excess, rel=1e-6)
 
-    def test_zero_amplitude_excess_is_zero(self, euclid_critical):
-        # the probe's discretized energy at zero perturbation is the baseline
-        spec = euclid_critical.spec
-        s = np.linspace(spec.r, 1.0, 4097)
-        p = euclid_critical.profile(s)
-        dp = euclid_critical.slope(s)
-        integrand = EUCLID.eval(p) * (dp * dp + (p / s) ** 2) * s
-        base = 2.0 * math.pi * float(simpson(integrand, x=s))
-        again = 2.0 * math.pi * float(simpson(integrand, x=s))
-        assert again - base == 0.0
+    @pytest.mark.parametrize("fixture", ["euclid_critical", "euclid_conformal"])
+    def test_flat_density_scaling_reads_first_variation(self, fixture, request):
+        # for rho = 1 the discrete energy is exactly quadratic in p, so
+        # excess(eps)/excess(eps/10) = 100 up to the discrete first variation
+        # of the solved profile, and the worst gap max(50 - ratio,
+        # ratio - 200) lies next to -50 (measured at most 4.9e-7 away)
+        profile = request.getfixturevalue(fixture)
+        report = minimality_probe(profile, EUCLID, 20, 1e-2, seed=42)
+        scaling = report["radial_minimality_quadratic_scaling"].measured
+        assert scaling == pytest.approx(-50.0, abs=2e-6)
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_bump_matches_direct_series(self, seed):
