@@ -71,18 +71,16 @@ CRITICAL = "Critical"
 _MODULUS_TOL = 1e-11
 # relative error allowed Psi.integrate
 _INTEGRAL_TOL = 1e-13
-# relative closeness of c to the critical constant below which the modulus
-# integrand must be treated as endpoint-singular
+# closeness of c to the critical constant, relative to |c0|, below which the
+# modulus integrand must be treated as endpoint-singular
 _NEAR_CRITICAL = 1e-6
 # a near-critical table starts from a ladder of panels in v, each rung a
 # quarter of the last, down to the boundary layer of the radicand (at most
-# _MAX_RUNGS rungs); only for c - c0 of at least _LADDER_FLOOR max(1, |c0|),
-# above the radicand's rounding floor
+# _MAX_RUNGS rungs); only for c - c0 of at least _LADDER_FLOOR |c0|, above
+# the radicand's rounding floor
 _RUNG_RATIO = 0.25
 _MAX_RUNGS = 22
 _LADDER_FLOOR = 1e-14
-# the offset from the anchor at which _divergence_guard probes g
-_SINGULAR_OFFSET = 1e-12
 _NEWTON_STEPS = 60
 # the smallest normal float
 _TINY = np.finfo(float).tiny
@@ -204,16 +202,18 @@ def critical_constant(metric: RadialMetric, q: float, Q: float) -> float:
     return _critical(metric, q, Q)[1]
 
 
+def _near_critical(c: float, c_crit: float) -> bool:
+    """Whether c lies in the near-critical band above c0."""
+    return c - c_crit <= _NEAR_CRITICAL * abs(c_crit)
+
+
 def _divergence_guard(g, endpoint: float, inward: float) -> None:
     """Reject endpoint singularities stronger than an integrable 1/sqrt.
 
-    g is the integrand after the substitution y = endpoint + inward u^2,
-    such as g(u) = 2 u f(endpoint + inward u^2), and is checked at inward
-    u for an offset u just off the endpoint.  The offset is widened only as
-    far as floating-point representability of endpoint + u^2 requires,
-    keeping the acceptance threshold scale-equivalent to |g(1e-12)| <= 1e12.
-    """
-    u = max(_SINGULAR_OFFSET, math.sqrt(100.0 * _EPS * max(abs(endpoint), 1.0)))
+    g is Psi's integrand in u, with y = endpoint + inward Q u^2, and must
+    meet |g(u)| <= 1/u at inward u = sqrt(100 eps), where Q u^2 is about
+    a hundred ulps of any endpoint in [0, Q]."""
+    u = math.sqrt(100.0 * _EPS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         value = float(g(np.array([inward * u]))[0])
     if not abs(value) <= 1.0 / u:
@@ -226,21 +226,22 @@ class Psi:
     """The first integral Psi(p) = int_p^Q dy / sqrt(y^2 + c/rho(y)).
 
     Psi is held as a table of adaptive Gauss panels in the signed variable
-    v with y = a + v|v|, i.e. v = +-sqrt|y - a|, anchored at the critical
-    radius a = y* (snapped to q or Q when it lies within 1e-7 of the span
-    of one).  The substitution keeps the integrand g(v) = 2|v| /
+    v with y = a + Q v|v|, i.e. v = +-sqrt(|y - a| / Q), anchored at the
+    critical radius a = y* (snapped to q or Q when it lies within 1e-7 of
+    the span of one).  The substitution keeps the integrand g(v) = 2Q|v| /
     sqrt(y^2 + c/rho(y)) smooth through y*, where the radicand vanishes at
-    the critical constant.  ``total`` = Psi(q) is the modulus mu(c).
+    the critical constant; v and g carry no unit.  ``total`` = Psi(q) is
+    the modulus mu(c).
 
     Just above c0 the radicand (y^2 rho(y) + c0 + (c - c0)) / rho(y) has a
-    boundary layer at the anchor, of width sqrt((c - c0) / w'(y*)) in v for
-    the weight w = y^2 rho.  There each piece of the table starts from a
+    boundary layer at the anchor, of width sqrt((c - c0) / (Q w'(y*))) in v
+    for the weight w = y^2 rho.  There each piece of the table starts from a
     ladder of panels, from the piece's far end toward the anchor at ratio
     1/4 in v, down to the first rung where the weight gap w(y) + c0 is at
     most c - c0; bisection from one panel would reach the layer a bit per
     integrand call, or, far below the solver's collar, not at all.  The
-    ladder is left out where c - c0 is below 1e-14 max(1, |c0|), at the
-    radicand's rounding floor.
+    ladder is left out where c - c0 is below 1e-14 |c0|, at the radicand's
+    rounding floor.
 
     Psi at any v is a tail sum of whole panels plus one 15-point Gauss rule
     on the part of a panel; below q the same rule continues the integral,
@@ -256,13 +257,12 @@ class Psi:
 
     def __init__(self, metric: RadialMetric, q: float, Q: float, c: float):
         y_star, c_crit = _critical(metric, q, Q)
-        scale = max(1.0, abs(c_crit))
-        if c < c_crit - 1e-12 * scale:
+        if c < c_crit - 1e-12 * abs(c_crit):
             raise BelowCritical(
                 f"c={c} below the critical constant {c_crit}", critical_c=c_crit
             )
-        near_critical = (c - c_crit) <= _NEAR_CRITICAL * scale
-        ladder = near_critical and c - c_crit >= _LADDER_FLOOR * scale
+        near_critical = _near_critical(c, c_crit)
+        ladder = near_critical and c - c_crit >= _LADDER_FLOOR * abs(c_crit)
         span = Q - q
         if y_star - q <= 1e-7 * span:
             anchor = q
@@ -284,7 +284,7 @@ class Psi:
         try:
             for lo, hi in pieces:
                 if near_critical:
-                    # g(+-u) = 2u / sqrt(radicand(anchor +- u^2))
+                    # g(+-u) = 2Qu / sqrt(radicand(anchor +- Q u^2))
                     _divergence_guard(self.g, anchor, 1.0 if lo == 0.0 else -1.0)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     panels.append(_adaptive_core(
@@ -317,16 +317,16 @@ class Psi:
 
     def v_of_y(self, y):
         d = np.asarray(y, dtype=float) - self.anchor
-        return np.sign(d) * np.sqrt(np.abs(d))
+        return np.sign(d) * np.sqrt(np.abs(d) / self.Q)
 
     def y_of_v(self, v):
-        return self.anchor + v * np.abs(v)
+        return self.anchor + self.Q * (v * np.abs(v))
 
     def _radicand(self, y):
         return y * y + self.c / self.metric.eval(y)
 
     def g(self, v, noisy=False):
-        """-dPsi/dv = 2|v| / sqrt(y^2 + c/rho(y)) at y = y(v), infinite (or
+        """-dPsi/dv = 2Q|v| / sqrt(y^2 + c/rho(y)) at y = y(v), infinite (or
         nan at v = 0) where the radicand vanishes; callers silence the
         floating-point warnings, since this is the quadrature's inner loop.
         With ``noisy`` also the rounding uncertainty of g: the radicand is
@@ -334,13 +334,26 @@ class Psi:
         critical radius exceed it by orders of magnitude, and g inherits
         their rounding relative to the radicand."""
         size = np.abs(v)
-        y = self.anchor + v * size
+        y = self.anchor + self.Q * (v * size)
         radicand = self._radicand(y)
-        g = 2.0 * size / np.sqrt(np.maximum(radicand, 0.0))
+        g = 2.0 * self.Q * size / np.sqrt(np.maximum(radicand, 0.0))
         if not noisy:
             return g
         terms = y * y + np.abs(radicand - y * y)
         return g, g * _EPS * terms / np.abs(radicand)
+
+    def g_limit(self, v):
+        """g, with its limit 2 sqrt(Q rho(a) / |w'(a)|), w = y^2 rho, where
+        the radicand vanishes at the anchor a (at the critical constant)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = self.g(v)
+        a = self.anchor
+        at_anchor = ~np.isfinite(g) & (self.y_of_v(v) == a)
+        if at_anchor.any():
+            rho = self.metric.eval(a)
+            slope_w = 2.0 * a * rho + a * a * self.metric.deriv(a)
+            g[at_anchor] = 2.0 * math.sqrt(self.Q * rho / abs(slope_w))
+        return g
 
     def _gauss(self, a, b):
         """int_a^b g dv by one 15-point rule, elementwise."""
@@ -494,14 +507,14 @@ class Psi:
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, ...]:
-        """(2|v|, y^2, rho) at the nodes of both Gauss rules on each panel
+        """(2Q|v|, y^2, rho) at the nodes of both Gauss rules on each panel
         (one row per panel), and the panels' half-widths: the density is
         read once per table."""
         lo, hi = self.edges[:-1, None], self.edges[1:, None]
         half = 0.5 * (hi - lo)
         v = 0.5 * (hi + lo) + half * _GAUSS_NODES
         y = self.y_of_v(v)
-        return 2.0 * np.abs(v), y * y, self.metric.eval(y), half[:, 0]
+        return 2.0 * self.Q * np.abs(v), y * y, self.metric.eval(y), half[:, 0]
 
     def _moments(self, c: float) -> tuple[float, float, float]:
         """(mu, error estimate, mu') at the constant c, read off the panels of
@@ -552,8 +565,7 @@ def _reread(psi: Psi, c: float) -> tuple[float, float] | None:
     boundary layer at c is narrower than any psi resolved; the error
     estimate exceeds the tolerance a fresh table meets; or a value is not
     finite."""
-    c_crit = psi.critical_c
-    if c < psi.c and c - c_crit <= _NEAR_CRITICAL * max(1.0, abs(c_crit)):
+    if c < psi.c and _near_critical(c, psi.critical_c):
         return None
     mu, error, slope = psi._moments(c)
     if not (error <= _MODULUS_TOL and math.isfinite(mu)
@@ -574,13 +586,14 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     no c meets the residual, as where the radicand has lost the digits that
     resolve mu next to c0.
 
-    The root is found by safeguarded Newton steps in x = sqrt(c - c0):
+    The root is found by safeguarded Newton steps in x = sqrt((c - c0) /
+    |c0|), which has no unit (c0 at 0, c = 0 at 1, the collar at 1e-6):
     mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
-    linear for large c, where mu ~ 1/sqrt(c).  mu(0) = log(Q/q) in closed
-    form.  An iterate reads mu and mu' off the Gauss nodes of the table
-    nearest c0 built so far in the call where _reread trusts them, and
-    builds its own table otherwise; the returned c is checked on its own
-    table, which build_profile then reads.
+    linear for large c, where mu ~ 1/sqrt(c), and tends to 0.  mu(0) =
+    log(Q/q) in closed form.  An iterate reads mu and mu' off the Gauss
+    nodes of the table nearest c0 built so far in the call where _reread
+    trusts them, and builds its own table otherwise; the returned c is
+    checked on its own table, which build_profile then reads.
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
     c_crit = _critical(metric, q, Q)[1]
@@ -606,13 +619,19 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
 
     def miss(mu, slope, x):
         """target (mu - target) / mu, which is mu - target to first order
-        and smooth in x where mu is finite, and its slope in x; target and
-        no slope where mu is infinite."""
+        and smooth in x where mu is finite, and its slope in x (dc/dx = 2
+        |c0| x); target and no slope where mu is infinite."""
         ratio = target / mu
-        return target - target * ratio, 2.0 * x * ratio * ratio * slope
+        return target - target * ratio, -2.0 * c_crit * x * ratio * ratio * slope
 
     def miss_at(x):
-        return miss(*modulus(c_crit + x * x), x)
+        c = c_crit - c_crit * x * x
+        # the radicand y^2 (1 + c / w(y)) is at most (x y)^2
+        if not (c < math.inf and x * Q * x * Q < math.inf):
+            raise NoConvergence(
+                f"could not bracket c upward: c or the radicand leaves the "
+                f"floats before mu(c) falls to log(1/r) = {target:.6g}")
+        return miss(*modulus(c), x)
 
     # at c = 0 the first integral is int dy / y for every density
     mu0 = math.log(Q / q)
@@ -620,27 +639,18 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
         # the table build_profile reads
         _psi(metric, q, Q, 0.0)
         return 0.0
-    x0 = math.sqrt(-c_crit)
-    end0 = miss(mu0, math.nan, x0)
+    end0 = miss(mu0, math.nan, 1.0)
     if target < mu0:
         # expanding regime: c > 0 shrinks the modulus, which tends to 0;
         # the upper end is sought by steps of twice the Newton step, and at
-        # least doubling x, up to c = 1e12
-        x_cap = math.sqrt(1e12 - c_crit)
-
+        # least doubling x, until c or the radicand leaves the floats
         def beyond(x, f_x):
             step = -f_x[0] / f_x[1]
-            return min(x + max(2.0 * step if step > 0.0 else 0.0, x), x_cap)
+            return x + max(2.0 * step if step > 0.0 else 0.0, x)
 
-        lo, f_lo = x0, end0
+        lo, f_lo = 1.0, end0
         hi = beyond(lo, f_lo)
         while (f_hi := miss_at(hi))[0] > 0.0:
-            if hi == x_cap:
-                c_cap = c_crit + x_cap * x_cap
-                raise NoConvergence(
-                    f"could not bracket c upward: mu(c) = "
-                    f"{modulus(c_cap)[0]:.6g} at the cap c = {c_cap:.3g} "
-                    f"still exceeds log(1/r) = {target:.6g}")
             lo, f_lo, hi = hi, f_hi, beyond(hi, f_hi)
     else:
         psi_max = _critical_psi(metric, q, Q)
@@ -655,15 +665,15 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
         if math.isfinite(mu_max) and abs(target - mu_max) <= config.tol_c:
             return c_crit
         # closer to c0 than this c-space cannot resolve the root (the collar)
-        lo = math.sqrt(1e-12 * abs(c_crit))
+        lo = 1e-6
         f_lo = miss_at(lo)
         if f_lo[0] <= 0.0:
             return c_crit
-        hi, f_hi = x0, end0
+        hi, f_hi = 1.0, end0
     # the bracket may shrink to a few ulps of x, where c-space ends
     x = find_root_bracketed(miss_at, lo, hi, 0.5 * config.tol_c,
                             xtol=4.0 * _EPS * hi, f_lo=f_lo, f_hi=f_hi)
-    c = c_crit + x * x
+    c = c_crit - c_crit * x * x
     try:
         gap = _psi(metric, q, Q, c).total - target
     except DivergentModulus:

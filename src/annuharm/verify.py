@@ -254,17 +254,7 @@ def minimality_probe(
     p0 = psi.y_of_v(v)
     s = np.exp(-psi.at_v(v))
     s[0], s[-1] = r, 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = psi.g(v)
-    # at the critical constant g is 0/0 at the anchor a; its limit there is
-    # 2 sqrt(rho(a) / |w'(a)|) for the weight w = y^2 rho
-    at_anchor = ~np.isfinite(g) & (p0 == psi.anchor)
-    if at_anchor.any():
-        a = psi.anchor
-        rho = psi.metric.eval(a)
-        slope_w = 2.0 * a * rho + a * a * psi.metric.deriv(a)
-        g[at_anchor] = 2.0 * math.sqrt(rho / abs(slope_w))
-    weight = s * s * g
+    weight = s * s * psi.g_limit(v)
     basis = _sine_basis((s - r) / (1.0 - r))
     dp0 = psi.slope(s, p0)
     lo, hi = metric.valid_interval

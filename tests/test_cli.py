@@ -97,21 +97,22 @@ class TestSolve:
         assert info.value.code == 1
 
     def test_numerical_failure_exit_code(self):
-        # log(1/r) = 1e-9 needs c near 1e18, beyond the solver's 1e12 bracket
-        out = run_cli("solve", "--metric", "euclidean", "--q", "0.5",
-                      "--Q", "1", "--r", "0.999999999")
+        # the constant weight of power:-2 leaves the radicand without the
+        # digits that resolve mu next to c0 on so thin an annulus
+        args = ("--metric", "power:-2", "--q", "0.5", "--Q", "0.50001",
+                "--r", "0.1")
+        out = run_cli("solve", *args)
         assert out.returncode == 4
         doc = json.loads(out.stdout)
-        assert doc["detail"].startswith("could not bracket c upward: ")
+        assert doc["detail"].startswith("modulus equation unsolved: ")
         assert doc == {"error": "NoConvergence", "stage": "solver.solve_c",
                        "detail": doc["detail"]}
         # the stage is the outermost public library call: run_full_suite,
-        # not the solver.solve_c call under it where the bracket gives up
-        code, text = run_main("verify", "--metric", "euclidean", "--q", "0.5",
-                              "--Q", "1", "--r", "0.999999999")
+        # not the solver.solve_c call under it where the search gives up
+        code, text = run_main("verify", *args)
         assert code == 4
         doc = json.loads(text)
-        assert doc["detail"].startswith("could not bracket c upward: ")
+        assert doc["detail"].startswith("modulus equation unsolved: ")
         assert doc == {"error": "NoConvergence",
                        "stage": "verify.run_full_suite", "detail": doc["detail"]}
 
@@ -127,20 +128,15 @@ class TestSolve:
         assert re.fullmatch(r"annuharm solve: \[Errno \d+\] .*\n", captured.err)
         assert not (tmp_path / "missing").exists()
 
-    def test_bracket_cap_reported(self):
-        # log(1/r) = 1e-8 would need c near 4e14, past the cap c = 1e12
+    def test_large_c_bracketed(self):
+        # log(1/r) = 1e-8 needs c near 4e14: the upward bracket runs until
+        # mu(c) falls below log(1/r), with no cap on c
         out = run_cli("solve", "--metric", "euclidean", "--q", "0.8",
                       "--Q", "1", "--r", "0.99999999")
-        assert out.returncode == 4
-        doc = json.loads(out.stdout)
-        assert doc["error"] == "NoConvergence"
-        found = re.fullmatch(
-            r"could not bracket c upward: mu\(c\) = (\S+) at the cap "
-            r"c = 1e\+12 still exceeds log\(1/r\) = (\S+)", doc["detail"])
-        assert found, doc["detail"]
-        mu = modulus_of_c(parse_metric("euclidean"), 0.8, 1.0, 1e12)
-        assert float(found[1]) == pytest.approx(mu, rel=1e-5)
-        assert float(found[2]) == pytest.approx(-math.log(0.99999999), rel=1e-5)
+        assert out.returncode == 0
+        c = json.loads(out.stdout)["c"]
+        mu = modulus_of_c(parse_metric("euclidean"), 0.8, 1.0, c)
+        assert abs(mu - math.log(1.0 / 0.99999999)) <= 1e-9
 
     def test_consistent_with_critical_command(self):
         solved = json.loads(run_cli(

@@ -449,9 +449,10 @@ def test_nodes_refused_nearer_c0(monkeypatch):
 
 @mpmath.workdps(30)
 def _energy_reference(profile, metric, c):
-    """2 pi int_{p(r)}^Q (2 y^2 rho + c) / sqrt(y^2 + c/rho) dy by mpmath, in
-    the table's variable v (y = a + v|v|, split at the anchor a) from the
-    profile's inner end, at the float c given."""
+    """2 pi int_{p(r)}^Q (2 y^2 rho + c) / sqrt(y^2 + c/rho) dy by mpmath
+    from the profile's inner end, at the float c given, after its own
+    substitution y = a + v|v| split at the table's anchor a (where the
+    radicand may vanish)."""
     psi, c = profile.psi, mpmath.mpf(c)
     a = mpmath.mpf(psi.anchor)
     if profile.c == profile.critical_c:
@@ -464,8 +465,12 @@ def _energy_reference(profile, metric, c):
         rho = metric.eval(y)
         return 2 * abs(v) * (2 * y * y * rho + c) / mpmath.sqrt(y * y + c / rho)
 
-    lo, hi = profile.inner_v, float(psi.edges[-1])
-    ends = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    def v_of(y):
+        d = mpmath.mpf(y) - a
+        return mpmath.sign(d) * mpmath.sqrt(abs(d))
+
+    lo, hi = v_of(profile.inner), v_of(profile.spec.Q)
+    ends = [lo, 0, hi] if lo < 0 < hi else [lo, hi]
     return float(2 * mpmath.pi * mpmath.quad(integrand, ends))
 
 

@@ -2,11 +2,13 @@
 both sides of 0: mu decreases in c, J >= 0, ||Dw||^2 <= 2 J + K', the
 energy is at least twice the metric area of the target, and the stretches
 p' and p/s are ordered by the sign of c and bracketed by the Lipschitz
-constants."""
+constants.  For rho = y^a the solve scales exactly with the target
+annulus."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +17,13 @@ from annuharm import (
     area,
     build_profile,
     critical_constant,
+    critical_inner_radius,
     energy,
     kk_constants,
     lipschitz_constant,
     modulus_of_c,
     parse_metric,
+    solve_c,
 )
 from annuharm.fields import field_arrays
 
@@ -90,3 +94,49 @@ def test_lipschitz_matrix(name, outer, ratio, lift):
     sup_op, inf_lo = lipschitz_constant(profile, metric)
     assert np.max(np.maximum(tangential, radial)) <= sup_op * (1.0 + SLACK)
     assert inf_lo <= np.min(np.minimum(tangential, radial)) * (1.0 + SLACK)
+
+
+# the power densities rho = y^a among the built-ins, with their exponents
+POWERS = [("euclidean", 0), ("inverse_r", -1), ("power:-2", -2),
+          ("power:1", 1), ("power:2", 2), ("power:4", 4)]
+
+
+def _power_configs():
+    """120 (name, a, q, r) with Q = 1, round-robin over POWERS: q =
+    U(0.1, 0.9), then r ~ U(lo, min(0.99, max(1.5 lo, 1.5 q))) with lo =
+    max(1.01 critical_inner_radius, 0.01)."""
+    rng = np.random.default_rng(5)
+    configs = []
+    for i in range(120):
+        name, a = POWERS[i % len(POWERS)]
+        q = rng.uniform(0.1, 0.9)
+        lo = max(1.01 * critical_inner_radius(parse_metric(name), q, 1.0), 0.01)
+        configs.append((name, a, q, rng.uniform(lo, min(0.99, max(1.5 * lo, 1.5 * q)))))
+    return configs
+
+
+def _solved(name, q, Q, r):
+    """(c, energy, sup |Dw|, inf l(Dw), class) of the solved map."""
+    metric = parse_metric(name)
+    spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
+    profile = build_profile(spec, solve_c(spec))
+    return (profile.c, energy(profile, metric),
+            *lipschitz_constant(profile, metric), profile.classification)
+
+
+@pytest.mark.parametrize("k", [-7, 7])
+def test_exact_scaling(k):
+    # scaling the target annulus by lam = 2^k scales p by lam, and for rho =
+    # y^a c and the energy by lam^(a+2): every step of the solve is exact
+    # in binary, so the outputs must scale bitwise
+    lam = 2.0 ** k
+    missed = []
+    for name, a, q, r in _power_configs():
+        c, e, sup, inf, kind = _solved(name, q, 1.0, r)
+        scale = lam ** (a + 2)
+        want = (scale * c, scale * e, lam * sup, lam * inf, kind)
+        got = _solved(name, lam * q, lam, r)
+        if got != want:
+            ulps = [(x - y) / np.spacing(y) for x, y in zip(got[:4], want[:4])]
+            missed.append((name, q, r, ulps, got[4], kind))
+    assert not missed

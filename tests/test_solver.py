@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from annuharm import (
     BelowCritical,
     DivergentModulus,
+    NoConvergence,
     OutOfDomain,
     ProblemSpec,
     ProfileMismatch,
@@ -153,6 +154,16 @@ class TestSolveC:
                     assert abs(gap) <= 1e-6
                 else:
                     assert (c > 0.0) == (gap > 0.0)
+
+    @pytest.mark.parametrize("q, r", [(0.5, 0.9), (5.0, 0.99999999)])
+    def test_upward_bracket_ends_at_the_floats(self, q, r):
+        # on [0.5, 10] the root near c = 4e299 has c/rho(q) near 8e389, and
+        # on [5, 10] the root lies near c = 4e313: the bracket stops where
+        # the radicand or c would leave the floats, before an overflow (a
+        # RuntimeWarning, an error in tier-1) or a division by mu = 0
+        spec = ProblemSpec(metric=parse_metric("power:300"), q=q, Q=10.0, r=r)
+        with pytest.raises(NoConvergence, match="could not bracket c upward"):
+            solve_c(spec)
 
 
 class TestCriticalInnerRadius:
@@ -402,7 +413,12 @@ class TestDeclaredMinima:
         # w(0.5) = w(2) = 0.16 for the sphere: the scan's argmin takes q
         assert solver._critical_info(SPHERE, 0.5, 2.0) == (0.5, -0.16)
         assert solver._critical_info(_scanned(SPHERE), 0.5, 2.0) == (0.5, -0.16)
-        assert critical_inner_radius(SPHERE, 0.5, 2.0) == 0.030151892770306377
+        # the radicand at c0 vanishes at both ends, but Psi anchors only q,
+        # and the critical radius misses mpmath's exp(-mu) at c0 = -4/25 by
+        # 2.56e-8 relative, above what _MODULUS_TOL promises
+        r0 = critical_inner_radius(SPHERE, 0.5, 2.0)
+        assert r0 == 0.03015189274340926
+        assert r0 == pytest.approx(0.030151891971179696, rel=2.6e-8)
         spec = ProblemSpec(metric=SPHERE, q=0.5, Q=2.0, r=0.1)
         assert build_profile(spec, solve_c(spec)).classification == "Subcritical"
 
