@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=float, required=True,
                            help="domain inner radius (outer normalized to 1)")
         p.add_argument("--tol", type=_tolerance, default=1e-9,
-                       help="classification / check tolerance (default 1e-9)")
+                       help="modulus equation tolerance, and verify's bound "
+                       "on the Hopf deviation over its scale (default 1e-9)")
         p.add_argument("--seed", type=int, default=42,
                        help="seed for randomized checks (default 42)")
         p.add_argument("--out", "--out_path", dest="out", default="",

@@ -27,7 +27,9 @@ from .fields import (
 )
 from .fields import energy as field_energy
 from .metrics import RadialMetric, area
+from .numerics import _EPS
 from .solver import (
+    CONFORMAL,
     CRITICAL,
     MinimizerProfile,
     ProblemSpec,
@@ -48,7 +50,8 @@ __all__ = [
 ]
 
 # fitted convergence order required of the residual stencils, and the
-# absolute residual level below which order fitting is meaningless
+# residual level, relative to its term scale, below which order fitting is
+# meaningless
 _MIN_ORDER = 1.8
 _NOISE_FLOOR = 1e-9
 # the interior grid of the residual stencils: radii by phases
@@ -122,14 +125,15 @@ class _Stencil(NamedTuple):
     p: np.ndarray
 
 
-def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
+def _stencil(profile: MinimizerProfile, h: float, centre_h: float) -> _Stencil:
     """The stencil field of step h on the interior _STENCIL_S x _STENCIL_T
-    grid, with the profile solved once for both residual kernels."""
+    grid of the centre step centre_h >= h (r + 2 centre_h to 1 - 2
+    centre_h), with the profile solved once for both residual kernels."""
     r = profile.spec.r
-    lo, hi = r + 2.0 * h, 1.0 - 2.0 * h
+    lo, hi = r + 2.0 * centre_h, 1.0 - 2.0 * centre_h
     if not lo < hi:
         raise StencilOutOfDomain(
-            f"stencil step h={h} leaves no interior grid in [{r}, 1]"
+            f"stencil step h={centre_h} leaves no interior grid in [{r}, 1]"
         )
     s = np.linspace(lo, hi, _STENCIL_S)
     t = 2.0 * math.pi * np.arange(_STENCIL_T) / _STENCIL_T
@@ -149,10 +153,11 @@ def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> f
     first integral to rounding accuracy, so the result is pure stencil
     truncation error (second order in h).
     """
-    return _pde_residual(_stencil(profile, h), metric)
+    return float(np.max(np.abs(_pde_residual(_stencil(profile, h, h), metric))))
 
 
-def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> float:
+def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> np.ndarray:
+    """tau at the stencil's centres."""
     h = stencil.h
     w = stencil.p * stencil.z / stencil.s
 
@@ -165,8 +170,7 @@ def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> float:
 
     pw = np.abs(center)
     log_rho_w = 0.5 * (metric.deriv(pw) / metric.eval(pw)) * np.conj(center) / pw
-    tau = h_zzb + log_rho_w * h_z * h_zb
-    return float(np.max(np.abs(tau)))
+    return h_zzb + log_rho_w * h_z * h_zb
 
 
 def general_harmonic_residual(
@@ -175,30 +179,48 @@ def general_harmonic_residual(
     """Max modulus of the finite-difference d/dzbar of the sampled field
     rho(w) w_z conj(w_zbar); identically zero for a solved profile, whose
     field is the meromorphic c/(4 z^2)."""
-    return _general_harmonic_residual(profile, _stencil(profile, h), metric)
+    field = _general_harmonic_residual(profile, _stencil(profile, h, h), metric)
+    return float(np.max(np.abs(field)))
 
 
 def _general_harmonic_residual(profile: MinimizerProfile, stencil: _Stencil,
-                               metric: RadialMetric) -> float:
+                               metric: RadialMetric) -> np.ndarray:
+    """d/dzbar of the field at the stencil's centres."""
     s = stencil.s
     hopf = _columns(profile, metric, s, stencil.z / s, stencil.p).hopf
-    d_zbar = ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * stencil.h)
-    return float(np.max(np.abs(d_zbar)))
+    return ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * stencil.h)
 
 
 def hopf_constancy_check(
     profile: MinimizerProfile, metric: RadialMetric, grid: PolarGrid, tol: float
 ) -> CheckRecord:
-    """z^2 rho(w) w_z conj(w_zbar) must equal the real constant c/4."""
+    """z^2 rho(w) w_z conj(w_zbar) must equal the real constant c/4, to tol
+    of max |z|^2 rho ||Dw||^2 / 4 on the grid, the size of the terms the
+    quotient is formed from."""
     arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
-    return _hopf_record(profile.c, arrays["z"] ** 2 * arrays["hopf"], tol)
+    return _hopf_records(profile.c, arrays, metric, tol)[0]
 
 
-def _hopf_record(c: float, quotient: np.ndarray, tol: float) -> CheckRecord:
-    deviation = float(np.max(np.abs(quotient - c / 4.0)))
-    return CheckRecord.measure(
-        "hopf_constant_deviation", deviation, tol,
-        f"quadratic-differential constant c/4 = {c / 4.0:.12g}",
+def _hopf_records(c: float, arrays: dict, metric: RadialMetric,
+                  tol: float) -> tuple[CheckRecord, CheckRecord]:
+    """The deviation of the quotient z^2 rho(w) w_z conj(w_zbar) from c/4
+    (bound tol) and the mean of its imaginary part, over the term scale max
+    |z|^2 rho ||Dw||^2 / 4, which bounds |z^2 rho w_z w_zbar|."""
+    z_sq = arrays["z"] ** 2
+    quotient = z_sq * arrays["hopf"]
+    norm_sq = 2.0 * (np.abs(arrays["wz"]) ** 2 + np.abs(arrays["wzb"]) ** 2)
+    density = metric.eval(np.abs(arrays["w"]))
+    scale = float(np.max(np.abs(z_sq) * density * norm_sq)) / 4.0
+    return (
+        CheckRecord.measure(
+            "hopf_constant_deviation",
+            float(np.max(np.abs(quotient - c / 4.0))) / scale, tol,
+            f"over the term scale {scale:.6g}; quadratic-differential "
+            f"constant c/4 = {c / 4.0:.12g}"),
+        CheckRecord.measure(
+            "hopf_imaginary_part", abs(float(np.mean(quotient.imag))) / scale,
+            1e-9, "mean imaginary part of z^2 rho w_z conj(w_zbar) over the "
+            f"term scale {scale:.6g}"),
     )
 
 
@@ -236,19 +258,22 @@ def minimality_probe(
 ) -> VerificationReport:
     """Probe local minimality within the radial family.
 
-    Perturbs the profile by random fixed-endpoint bumps at amplitudes eps
-    and eps/10 and checks that the discretized energy never drops and that
-    the excess scales quadratically.  Competitors are radial with fixed
-    boundary values; this is radial local minimality only.  The energy is
-    sampled at 2,049 uniform points of the first integral's variable v,
-    from p(r) to Q, where p = y(v) and s = exp(-Psi) need no inverse, and
-    integrated by Simpson's rule in v with s ds = s^2 g(v) dv.
+    Perturbs the profile by random fixed-endpoint bumps at amplitudes eps Q
+    and eps Q/10 and checks that the discretized energy never drops by more
+    than 1e-12 of its unperturbed value and that the excess scales
+    quadratically, so that neither entry depends on the scale of the target
+    annulus.  Competitors are radial with fixed boundary values; this is
+    radial local minimality only.  The energy is sampled at 2,049 uniform
+    points of the first integral's variable v, from p(r) to Q, where p =
+    y(v) and s = exp(-Psi) need no inverse, and integrated by Simpson's rule
+    in v with s ds = s^2 g(v) dv.
     """
     if eps > 1e-2:
         raise ValueError("eps must be at most 1e-2")
     rng = np.random.default_rng(seed)
     spec = profile.spec
     r = spec.r
+    amplitude = eps * spec.Q
     psi = profile.psi
     v = np.linspace(profile.inner_v, psi.edges[-1], 2049)
     p0 = psi.y_of_v(v)
@@ -275,13 +300,12 @@ def minimality_probe(
                 )
             phi, dphi = _sine_bump(rng, basis)
             dphi = dphi / (1.0 - r)  # chain rule from unit grid to s
-            trial = p0 + eps * phi
+            trial = p0 + amplitude * phi
             if np.all(trial > lo) and np.all(trial < hi) and np.all(trial > 0.0):
                 break
         excesses = []
-        for amplitude in (eps, eps / 10.0):
-            perturbed = discrete_energy(p0 + amplitude * phi,
-                                        dp0 + amplitude * dphi)
+        for a in (amplitude, amplitude / 10.0):
+            perturbed = discrete_energy(p0 + a * phi, dp0 + a * dphi)
             excesses.append(perturbed - base)
         min_excess = min(min_excess, *excesses)
         ratio = excesses[0] / excesses[1] if excesses[1] != 0.0 else math.inf
@@ -290,8 +314,9 @@ def minimality_probe(
     report = VerificationReport()
     report.checks.append(
         CheckRecord.measure(
-            "radial_minimality_excess", -min_excess, 1e-10,
-            f"{n_perturbations} perturbations at eps={eps:g} and {eps / 10:g}",
+            "radial_minimality_excess", -min_excess / base, 1e-12,
+            f"{n_perturbations} perturbations at eps={eps:g} and {eps / 10:g} "
+            f"of Q; energy excess over the energy {base:.12g}",
         )
     )
     report.checks.append(
@@ -303,16 +328,18 @@ def minimality_probe(
     return report
 
 
-def _modulus_sign_record(q: float, Q: float, r: float, c: float) -> CheckRecord:
+def _modulus_sign_record(q: float, Q: float, r: float, c: float,
+                         tol_c: float) -> CheckRecord:
     """sign(c) against sign(log(Q/q) - log(1/r)) for a solved c, which is
-    exactly 0 for a conformal pair (a tolerance would carry the units of c)."""
+    exactly 0 for a conformal pair (a tolerance would carry the units of c),
+    as solve_c returns it where the moduli agree within tol_c."""
     gap = math.log(Q / q) - math.log(1.0 / r)
     if c == 0.0:
-        agree = abs(gap) <= 1e-6
+        agree = abs(gap) <= tol_c
     elif c > 0.0:
-        agree = gap > -1e-9
+        agree = gap > -tol_c
     else:
-        agree = gap < 1e-9
+        agree = gap < tol_c
     return CheckRecord.measure(
         f"modulus_sign_r={r:g}", 0.0 if agree else 1.0, 0.5,
         f"c={c:.6g}, Mod(target)-Mod(domain)={gap:.6g}",
@@ -339,13 +366,13 @@ def modulus_equivalence_check(
                 )
             )
             continue
-        report.checks.append(_modulus_sign_record(q, Q, r, c))
+        report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
     return report
 
 
 def _residual_order_record(name: str, res_h: float, res_half: float,
-                           h: float) -> CheckRecord:
-    if res_h <= _NOISE_FLOOR:
+                           h: float, scale: float) -> CheckRecord:
+    if res_h <= _NOISE_FLOOR * scale:
         return CheckRecord.measure(
             f"{name}_order", 0.0, 0.0,
             f"residual {res_h:.3g} at h={h:g} is below the noise floor; "
@@ -391,166 +418,136 @@ def run_full_suite(
 ) -> VerificationReport:
     """Solve the configuration and run every verification check.
 
+    Each entry divides what it measures by the scale of the terms it is
+    formed from and compares that with a unitless constant, so no verdict
+    changes when the target annulus is scaled: the modulus gap by
+    build_profile's rule; the constraint over max p^2 rho(p); the Hopf
+    entries over max |z|^2 rho ||Dw||^2 / 4; the residuals, Richardson
+    extrapolated from steps h and h/2 on one set of stencil centres, over
+    max p/s^2 and max rho(p) p^2/s^3; the energy over twice the area of
+    A(p(r), Q); the distortion entries over max ||Dw||^2; the stretches
+    over q/r; and the radial probe's excess over the energy.  The class
+    (c == 0 is Conformal) decides which energy entry applies.
+
     Deterministic for a fixed config (the perturbation seed lives in the
     config).  An infeasible configuration is reported as a failed
     "solvable_configuration" entry instead of raising.  ``check_tol``
-    overrides the tolerance of the constancy check (defaults to the
+    overrides the bound of the Hopf constancy entry (defaults to the
     config's tol_c).
     """
     if check_tol is None:
         check_tol = config.tol_c
     report = VerificationReport()
+
+    def check(name, measured, tolerance, detail=""):
+        report.checks.append(CheckRecord.measure(name, measured, tolerance, detail))
+
     try:
         profile, solved = _solved(spec, config)
     except BelowCritical as exc:
-        report.checks.append(
-            CheckRecord.measure(
-                "solvable_configuration", 1.0, 0.0,
-                f"below critical: critical_r={exc.critical_r:.12g}, "
-                f"critical_c={exc.critical_c:.12g}",
-            )
-        )
+        check("solvable_configuration", 1.0, 0.0,
+              f"below critical: critical_r={exc.critical_r:.12g}, "
+              f"critical_c={exc.critical_c:.12g}")
         return report
     c = solved["c"]
     metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    report.checks.append(
-        CheckRecord.measure("solvable_configuration", 0.0, 0.0,
-                            f"c={c:.12g}, classification={profile.classification}")
-    )
+    check("solvable_configuration", 0.0, 0.0,
+          f"c={c:.12g}, classification={profile.classification}")
 
-    # profile endpoint and inverse round trip
-    report.checks.append(
-        CheckRecord.measure(
-            "profile_inner_endpoint", abs(profile.profile(r) - q), 1e-6 * Q,
-            "p(r) must meet the inner target radius",
-        )
-    )
+    # the modulus equation, by build_profile's rule: the gap within tol_c
+    # plus a few ulps of log(1/r), or p(r) within 1e-6 Q of q
+    psi = profile.psi
+    target = math.log(1.0 / r)
+    gap = psi.total - target
+    reached = profile.profile(r)
+    check("modulus_gap", min(abs(gap) / (config.tol_c + 4.0 * _EPS * target),
+                             abs(reached - q) / (1e-6 * Q)), 1.0,
+          f"Psi(q) - log(1/r) = {gap:.3g} (tol_c {config.tol_c:g}), "
+          f"p(r) - q = {reached - q:.3g}: the smaller over its bound")
     s_sample = np.linspace(r, 1.0, 100)
     roundtrip = np.max(np.abs(profile.inverse(profile.profile(s_sample)) - s_sample))
-    report.checks.append(
-        CheckRecord.measure("inverse_round_trip", roundtrip, 1e-8,
-                            "inverse(profile(s)) = s at 100 sample points")
-    )
+    check("inverse_round_trip", roundtrip, 1e-8,
+          "inverse(profile(s)) = s at 100 sample points")
 
     # admissibility of the constant along the profile
-    psi = profile.psi
     p_dense = psi.y_of_v(np.linspace(profile.inner_v, psi.edges[-1], 512))
-    constraint = p_dense**2 * metric.eval(p_dense) + c
-    report.checks.append(
-        CheckRecord.measure(
-            "constraint_lower_bound", -float(np.min(constraint)), 1e-10,
-            "p^2 rho(p) + c must stay nonnegative",
-        )
-    )
+    weight = p_dense**2 * metric.eval(p_dense)
+    weight_max = float(np.max(weight))
+    check("constraint_lower_bound", -float(np.min(weight + c)) / weight_max, 1e-12,
+          f"p^2 rho(p) + c >= 0, over max p^2 rho(p) = {weight_max:.6g}")
 
     # quadratic-differential constancy
     grid = PolarGrid(n_s=32, n_t=64, s_range=(r, 1.0))
     arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
-    quotient = arrays["z"] ** 2 * arrays["hopf"]
-    report.checks.append(_hopf_record(c, quotient, check_tol))
-    report.checks.append(
-        CheckRecord.measure(
-            "hopf_imaginary_part", abs(float(np.mean(quotient.imag))), 1e-8,
-            "mean imaginary part of z^2 rho w_z conj(w_zbar)",
-        )
-    )
+    report.checks += _hopf_records(c, arrays, metric, check_tol)
 
-    # PDE residuals with order-of-convergence checks, both read from one
-    # stencil field per step
+    # PDE residuals, both steps on the centres of h: the h^2 truncation
+    # cancels pointwise in (4 tau(h/2) - tau(h)) / 3; the raw residuals
+    # give the order
     h = min(1e-3, (1.0 - r) / 32.0)
-    steps = _stencil(profile, h), _stencil(profile, h / 2.0)
-    res_pde, res_pde_half = (_pde_residual(step, metric) for step in steps)
-    report.checks.append(
-        CheckRecord.measure("pde_residual", res_pde, 5e-4,
-                            f"max |tau| at h={h:g}")
-    )
-    report.checks.append(
-        _residual_order_record("pde_residual", res_pde, res_pde_half, h)
-    )
-    res_gen, res_gen_half = (_general_harmonic_residual(profile, step, metric)
-                             for step in steps)
-    report.checks.append(
-        CheckRecord.measure("general_harmonic_residual", res_gen, 5e-4,
-                            f"max |d/dzbar of the field| at h={h:g}")
-    )
-    report.checks.append(
-        _residual_order_record("general_harmonic_residual", res_gen,
-                               res_gen_half, h)
-    )
+    steps = _stencil(profile, h, h), _stencil(profile, h / 2.0, h)
+    s, p = steps[0].s[0], steps[0].p[0]
+    for name, kernel, scale, terms in (
+        ("pde_residual", lambda step: _pde_residual(step, metric),
+         np.max(p / s**2), "max p/s^2"),
+        ("general_harmonic_residual",
+         lambda step: _general_harmonic_residual(profile, step, metric),
+         np.max(metric.eval(p) * p * p / s**3), "max rho(p) p^2/s^3"),
+    ):
+        at_h, at_half = (kernel(step) for step in steps)
+        extrapolated = float(np.max(np.abs(4.0 * at_half - at_h))) / 3.0
+        check(name, extrapolated / scale, 1e-5,
+              f"max |4 tau(h/2) - tau(h)|/3 = {extrapolated:.3g} at h={h:g} "
+              f"over {terms} = {scale:.6g}")
+        report.checks.append(_residual_order_record(
+            name, *(float(np.max(np.abs(f))) for f in (at_h, at_half)), h, scale))
 
-    # energy bound
-    total_energy, lower_bound = solved["energy"], solved["energy_lower_bound"]
-    report.checks.append(
-        CheckRecord.measure(
-            "energy_lower_bound", lower_bound - total_energy, 1e-9,
-            f"energy {total_energy:.12g} vs twice the target area "
-            f"{lower_bound:.12g}",
-        )
-    )
-    if abs(c) <= 1e-8:
-        report.checks.append(
-            CheckRecord.measure(
-                "energy_attains_lower_bound", abs(total_energy - lower_bound),
-                1e-8, "conformal maps attain the bound",
-            )
-        )
-    elif abs(c) >= 1e-3:
-        report.checks.append(
-            CheckRecord.measure(
-                "energy_above_lower_bound",
-                lower_bound + 1e-8 - total_energy, 0.0,
-                "non-conformal maps must exceed the bound",
-            )
-        )
+    # energy bounds, by twice the area of the annulus the energy spans
+    total_energy = solved["energy"]
+    lower_bound = 2.0 * area(metric, profile.inner, Q)
+    excess = (total_energy - lower_bound) / lower_bound
+    check("energy_lower_bound", -excess, 1e-11,
+          f"energy {total_energy:.12g} vs twice the area {lower_bound:.12g} "
+          f"of A({profile.inner:.12g}, {Q:.12g})")
+    if profile.classification == CONFORMAL:
+        check("energy_attains_lower_bound", abs(excess), 1e-9,
+              "conformal maps attain the bound")
+    elif abs(c) >= 1e-3 * weight_max:
+        check("energy_above_lower_bound", -excess, -1e-8,
+              "non-conformal maps must exceed the bound")
 
-    # distortion inequality and algebraic norm identities
+    # distortion inequality and algebraic norm identities, over max ||Dw||^2
     k_prime = solved["K_prime"]
     norm_sq = 2.0 * (np.abs(arrays["wz"]) ** 2 + np.abs(arrays["wzb"]) ** 2)
-    kk_slack = norm_sq - 2.0 * arrays["jac"] - k_prime
-    report.checks.append(
-        CheckRecord.measure(
-            "kk_inequality", float(np.max(kk_slack)), 1e-9,
-            f"||Dw||^2 <= 2 J + K' with K'={k_prime:.6g}",
-        )
-    )
-    product_gap = np.abs(
-        arrays["opnorm"] * arrays["lonorm"] - np.abs(arrays["jac"])
-    ) / (1.0 + np.abs(arrays["jac"]))
-    report.checks.append(
-        CheckRecord.measure("norm_product_identity", float(np.max(product_gap)),
-                            1e-12, "|Dw| l(Dw) = |J|")
-    )
-    sum_gap = np.abs(arrays["opnorm"] ** 2 + arrays["lonorm"] ** 2 - norm_sq) \
-        / (1.0 + norm_sq)
-    report.checks.append(
-        CheckRecord.measure("norm_sum_identity", float(np.max(sum_gap)), 1e-12,
-                            "|Dw|^2 + l(Dw)^2 = ||Dw||^2")
-    )
-    report.checks.append(
-        CheckRecord.measure("jacobian_sign", -float(np.min(arrays["jac"])), 1e-12,
-                            "sense-preserving: J >= 0")
-    )
+    norm_max = float(np.max(norm_sq))
+    check("kk_inequality",
+          float(np.max(norm_sq - 2.0 * arrays["jac"] - k_prime)) / norm_max, 1e-10,
+          f"||Dw||^2 <= 2 J + K' with K'={k_prime:.6g}, over max ||Dw||^2 "
+          f"= {norm_max:.6g}")
+    opnorm, lonorm = arrays["opnorm"], arrays["lonorm"]
+    check("norm_product_identity",
+          float(np.max(np.abs(opnorm * lonorm - np.abs(arrays["jac"])))) / norm_max,
+          1e-13, "|Dw| l(Dw) = |J|")
+    check("norm_sum_identity",
+          float(np.max(np.abs(opnorm**2 + lonorm**2 - norm_sq))) / norm_max, 1e-13,
+          "|Dw|^2 + l(Dw)^2 = ||Dw||^2")
+    check("jacobian_sign", -float(np.min(arrays["jac"])) / norm_max, 1e-13,
+          "sense-preserving: J >= 0")
 
-    # smallest-stretch bounds by regime
+    # smallest-stretch bounds by regime, over the edge stretch q/r
     inf_lo = solved["lonorm_inf"]
     if c >= 0.0:
-        report.checks.append(
-            CheckRecord.measure("min_stretch_bound", q - inf_lo, 1e-9,
-                                "for c >= 0, inf l(Dw) >= q")
-        )
+        check("min_stretch_bound", (q - inf_lo) * r / q, 1e-9,
+              "for c >= 0, inf l(Dw) >= q")
     elif profile.classification == CRITICAL:
-        report.checks.append(
-            CheckRecord.measure("min_stretch_vanishes", inf_lo, 1e-6,
-                                "critical maps lose the lower stretch bound")
-        )
+        check("min_stretch_vanishes", inf_lo * r / q, 5e-7,
+              "critical maps lose the lower stretch bound")
     else:
-        report.checks.append(
-            CheckRecord.measure("min_stretch_positive", -inf_lo, 0.0,
-                                f"inf l(Dw) = {inf_lo:.6g}")
-        )
+        check("min_stretch_positive", -inf_lo * r / q, 0.0,
+              f"inf l(Dw) = {inf_lo:.6g}")
 
     # modulus comparison sign law for this configuration
-    report.checks.append(_modulus_sign_record(q, Q, r, c))
+    report.checks.append(_modulus_sign_record(q, Q, r, c, config.tol_c))
 
     # radial local minimality
     report.extend(

@@ -297,9 +297,23 @@ class TestVerify:
 
     def test_conformal_steep_density_passes(self):
         # c = 0, so the energy is twice the area: the energy checks hold it
-        # to that within their 1e-9 bounds
+        # to that within their bounds relative to the area
         code, text = run_main("verify", "--metric", "hyperbolic", "--q",
                               "0.475", "--Q", "0.95", "--r", "0.5")
+        assert code == 0, text
+
+    @pytest.mark.parametrize("args", [
+        # c = 0 where the moduli agree within --tol (gap 1.25e-4): the sign
+        # law reads c = 0 by the same tolerance
+        ("euclidean", "0.8", "0.8001", "1e-3"),
+        # c = 0 next to the conformal radius: p = Q s ends at r Q, and the
+        # energy entries take the area of A(r Q, Q)
+        ("sphere", "0.5", "0.50000000049", "1e-9"),
+    ])
+    def test_conformal_within_tolerance_passes(self, args):
+        metric, q, r, tol = args
+        code, text = run_main("verify", "--metric", metric, "--q", q, "--Q", "1",
+                              "--r", r, "--tol", tol)
         assert code == 0, text
 
     def test_tampered_tolerance_fails(self):

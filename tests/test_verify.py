@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from annuharm import (
+    DivergentIntegral,
+    DivergentModulus,
+    NoConvergence,
     PerturbationLeavesRange,
     PolarGrid,
     ProblemSpec,
+    ProfileMismatch,
     RadialMetric,
+    SolverConfig,
     StencilOutOfDomain,
     build_profile,
+    critical_inner_radius,
     general_harmonic_residual,
     hopf_constancy_check,
     minimality_probe,
@@ -103,13 +109,14 @@ class TestMinimalityProbe:
         assert report.all_passed
 
     @pytest.mark.parametrize("name, q, r, anchor, excess", [
-        ("euclidean", 0.8, 0.5, 0.8, -4.6572036e-05),
-        ("power:-3", 0.5, 0.17157287525380366, 1.0, -2.5678264e-05),
+        ("euclidean", 0.8, 0.5, 0.8, -1.2353617e-05),
+        ("power:-3", 0.5, 0.17157287525380366, 1.0, -1.4449102e-06),
     ])
     def test_critical_anchor(self, name, q, r, anchor, excess):
         # at the critical constant g is 0/0 at the anchor, the profile's
         # inner end (y* = q) or outer end (y* = Q); the probe reads its limit
-        # there, and meets the excess of a 262,145-point grid
+        # there, and meets the excess of a 262,145-point grid (relative to
+        # the unperturbed energy)
         metric = parse_metric(name)
         spec = ProblemSpec(metric=metric, q=q, Q=1.0, r=r)
         prof = build_profile(spec, solve_c(spec))
@@ -184,6 +191,14 @@ class TestModulusEquivalence:
                                            [0.9, 0.8, 0.6])
         assert report.all_passed
 
+    def test_conformal_within_tol_c(self):
+        # solve_c returns c = 0 where the moduli agree within tol_c (here a
+        # gap of 1.25e-4), and the sign law reads it by the same tolerance
+        report = modulus_equivalence_check(EUCLID, 0.8, 1.0, [0.8001],
+                                           SolverConfig(tol_c=1e-3))
+        assert report.all_passed
+        assert report.checks[0].detail.startswith("c=0,")
+
     def test_skips_below_critical(self):
         report = modulus_equivalence_check(EUCLID, 0.8, 1.0, [0.4, 0.6])
         assert report.all_passed
@@ -202,6 +217,26 @@ class TestRunFullSuite:
         report = run_full_suite(spec)
         assert report.all_passed
         assert report["energy_attains_lower_bound"].passed
+
+    @pytest.mark.parametrize("r", [0.50000000049, 0.5000000003])
+    def test_conformal_sliver(self, r):
+        # the moduli agree within tol_c, so c = 0 and p = Q s ends at r Q,
+        # not q: its energy is twice the area of A(r Q, Q), which the energy
+        # entries take for their bound
+        spec = ProblemSpec(metric=SPHERE, q=0.5, Q=1.0, r=r)
+        report = run_full_suite(spec)
+        assert report.all_passed
+        assert report["energy_attains_lower_bound"].measured <= 1e-12
+        assert f"A({r:.12g}, 1)" in report["energy_lower_bound"].detail
+
+    def test_flat_psi_next_to_q(self):
+        # Psi is flat next to q, so a gap within tol_c leaves p(r) 0.033 from
+        # q, as build_profile admits; only the stencils fail, as p'(r) is
+        # about 5e8, beyond any stencil of step 1e-3
+        spec = ProblemSpec(metric=parse_metric("power:300"), q=0.5, Q=1.0, r=0.6)
+        report = run_full_suite(spec)
+        assert report["modulus_gap"].passed
+        assert [c.name for c in report.checks if not c.passed] == ["pde_residual"]
 
     def test_below_critical_reported_not_raised(self):
         spec = ProblemSpec(metric=EUCLID, q=0.8, Q=1.0, r=0.4)
@@ -237,21 +272,30 @@ class TestRunFullSuite:
 class TestSuiteStencils:
     @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
     def test_residuals_match_public_functions(self, name, q, Q, r):
-        # the suite reads both residuals from one stencil field per step;
-        # its entries must be bitwise those of the public functions
+        # the suite reads both residuals from one stencil field per step,
+        # both on the centres of h: its h field is bitwise the public
+        # function's, and its entries extrapolate the two fields pointwise
         metric = parse_metric(name)
         spec = ProblemSpec(metric=metric, q=q, Q=Q, r=r)
         report = run_full_suite(spec)
         prof = build_profile(spec, solve_c(spec))
         h = min(1e-3, (1.0 - r) / 32.0)
-        for check, residual in (("pde_residual", pde_residual),
-                                ("general_harmonic_residual",
-                                 general_harmonic_residual)):
-            at_h = residual(prof, metric, h)
-            at_half = residual(prof, metric, h / 2.0)
-            assert report[check].measured == at_h
+        full, half = verify._stencil(prof, h, h), verify._stencil(prof, h / 2.0, h)
+        assert np.array_equal(full.z[0], half.z[0])
+        s, p = full.s[0], full.p[0]
+        for check, residual, field, scale in (
+            ("pde_residual", pde_residual,
+             lambda step: verify._pde_residual(step, metric), np.max(p / s**2)),
+            ("general_harmonic_residual", general_harmonic_residual,
+             lambda step: verify._general_harmonic_residual(prof, step, metric),
+             np.max(metric.eval(p) * p * p / s**3)),
+        ):
+            at_h, at_half = field(full), field(half)
+            assert np.max(np.abs(at_h)) == residual(prof, metric, h)
+            extrapolated = np.max(np.abs(4.0 * at_half - at_h)) / 3.0
+            assert report[check].measured == extrapolated / scale
             assert report[f"{check}_order"] == _residual_order_record(
-                check, at_h, at_half, h)
+                check, np.max(np.abs(at_h)), np.max(np.abs(at_half)), h, scale)
 
     def test_stencil_radii_solved_once(self, monkeypatch):
         solved, steps = [], []
@@ -261,9 +305,9 @@ class TestSuiteStencils:
             solved.append(np.size(target))
             return v_of_log(self, target)
 
-        def counted_stencil(profile, h):
+        def counted_stencil(profile, h, centre_h):
             solved.clear()
-            step = stencil(profile, h)
+            step = stencil(profile, h, centre_h)
             steps.append((step, sum(solved)))
             return step
 
@@ -272,6 +316,86 @@ class TestSuiteStencils:
         spec = ProblemSpec(metric=SPHERE, q=0.5, Q=1.0, r=0.7)
         assert run_full_suite(spec).all_passed
         assert len(steps) == 2
+        assert np.array_equal(steps[0][0].z[0], steps[1][0].z[0])
         for step, points in steps:
             assert step.s.size == 5 * 16 * 32
             assert 0 < points <= np.unique(step.s).size < step.s.size
+
+
+
+FUZZ_NAMES = ["euclidean", "inverse_r", "sphere", "hyperbolic", "power:-3",
+              "power:-2", "power:-1.5", "power:1", "power:2", "power:4"]
+# the densities y^a among them: scaling the target annulus by lam scales p
+# by lam and c by lam^(a+2), so no verdict of the suite may depend on lam
+POWER_NAMES = ["euclidean", "inverse_r", "power:-3", "power:-2", "power:-1.5",
+               "power:1", "power:2", "power:4"]
+
+
+def _draw_q_r(rng, name, Q):
+    """q = Q U(0.1, 0.9), then r ~ U(lo, min(0.99, max(1.5 lo, 1.5 q/Q)))
+    with lo = max(1.01 critical_inner_radius, 0.01)."""
+    q = Q * rng.uniform(0.1, 0.9)
+    lo = max(1.01 * critical_inner_radius(parse_metric(name), q, Q), 0.01)
+    return q, rng.uniform(lo, min(0.99, max(1.5 * lo, 1.5 * q / Q)))
+
+
+def _verify_fuzz():
+    """300 (name, q, Q, r), seed 7, round-robin over FUZZ_NAMES: Q uniform
+    in [0.3, 0.95] for hyperbolic, else log-uniform in [0.3, 10]."""
+    rng = np.random.default_rng(7)
+    configs = []
+    for i in range(300):
+        name = FUZZ_NAMES[i % len(FUZZ_NAMES)]
+        if name == "hyperbolic":
+            Q = rng.uniform(0.3, 0.95)
+        else:
+            Q = math.exp(rng.uniform(math.log(0.3), math.log(10.0)))
+        q, r = _draw_q_r(rng, name, Q)
+        configs.append((name, q, Q, r))
+    return configs
+
+
+def _lambda_matrix():
+    """160 (name, q, r) with Q = 1, seed 5, round-robin over POWER_NAMES."""
+    rng = np.random.default_rng(5)
+    return [(name, *_draw_q_r(rng, name, 1.0))
+            for name in (POWER_NAMES[i % len(POWER_NAMES)] for i in range(160))]
+
+
+class TestScaleFree:
+    def test_verify_fuzz(self):
+        # every 5th config: a verified solution or a typed numerical error
+        failed = []
+        for name, q, Q, r in _verify_fuzz()[::5]:
+            try:
+                report = run_full_suite(
+                    ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r))
+            except (NoConvergence, DivergentModulus, DivergentIntegral,
+                    ProfileMismatch):
+                continue
+            if not report.all_passed:
+                failed.append((name, q, Q, r, [c.name for c in report.checks
+                                               if not c.passed]))
+        assert not failed
+
+    def test_lambda_matrix(self):
+        # every 5th config at lam = 1e-2, 1 and 1e2: the same failing set,
+        # and every entry relative to its own scale the same to rounding;
+        # the raw residuals of the _order entries carry lam, and the modulus
+        # gap is what the root search leaves at each lam
+        for name, q, r in _lambda_matrix()[::5]:
+            metric = parse_metric(name)
+            reports = [run_full_suite(ProblemSpec(metric=metric, q=lam * q,
+                                                  Q=lam, r=r))
+                       for lam in (1e-2, 1.0, 1e2)]
+            failing = {tuple(c.name for c in report.checks if not c.passed)
+                       for report in reports}
+            assert len(failing) == 1, (name, q, r, failing)
+            for check in reports[0].checks:
+                if check.name.endswith("_order") or check.name == "modulus_gap":
+                    continue
+                values = [report[check.name].measured for report in reports]
+                slack = (1e-5 if check.name == "radial_minimality_quadratic_scaling"
+                         else 1e-8)
+                assert max(values) - min(values) <= slack, (name, q, r,
+                                                            check.name, values)
