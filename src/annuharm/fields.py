@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -231,11 +232,12 @@ def field_arrays(
 def export_grid(
     profile: MinimizerProfile, metric: RadialMetric, grid: PolarGrid
 ) -> list[FieldSample]:
-    """One FieldSample per grid point, in deterministic s-major order."""
+    """One FieldSample per grid point, in deterministic s-major order (built
+    by tuple.__new__, which makes each row without a Python frame)."""
     r = profile.spec.r
     lo, hi = grid.s_range
     if lo < r - _ANNULUS_SLACK or hi > 1.0 + _ANNULUS_SLACK:
         raise OutOfAnnulus(f"grid range {grid.s_range} outside [{r}, 1]")
     arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
     columns = [arrays[name].ravel().tolist() for name in FieldSample._fields]
-    return list(map(FieldSample._make, zip(*columns)))
+    return list(map(tuple.__new__, repeat(FieldSample), zip(*columns)))

@@ -1,11 +1,20 @@
 """Independent numerical verification of solved profiles.
 
-The harmonic-map equation is re-checked with centered finite-difference
-stencils on Cartesian offsets (second order) applied to the map alone, so
-that check shares no derivative formulas with the field evaluator; the
-holomorphy of the quadratic-differential field is checked by differencing
-the evaluator's field on the same stencils.  Energy bounds, distortion
-inequalities and radial local minimality are probed directly.
+The suite checks the harmonic-map equation in the chart zeta = log z = tau +
+i theta, where the map's Hopf differential c/(4 z^2) dz^2 is the constant
+(c/4) dzeta^2 and, for w = p e^{i theta}, the equation reads
+
+    1/4 [p_tautau - p + (rho'/2 rho)(p_tau^2 - p^2)] e^{i theta}
+
+with its theta-part exact.  Centred differences of p alone in tau (second
+order) check it, so that check shares no derivative formulas with the field
+evaluator; p is read at exact targets -tau through the first integral.  The
+holomorphy of the evaluator's quadratic-differential field is checked by
+differencing that field along tau at the same points.  The public
+``pde_residual`` and ``general_harmonic_residual`` keep their Cartesian
+stencils (5-point Laplacian and centred Wirtinger derivatives on a 16 x 32
+polar grid).  Energy bounds, distortion inequalities and radial local
+minimality are probed directly.
 """
 
 from __future__ import annotations
@@ -49,14 +58,15 @@ __all__ = [
     "run_full_suite",
 ]
 
-# fitted convergence order required of the residual stencils, and the
-# residual level, relative to its term scale, below which order fitting is
-# meaningless
+# fitted convergence order required of the residual differences
 _MIN_ORDER = 1.8
-_NOISE_FLOOR = 1e-9
-# the interior grid of the residual stencils: radii by phases
+# the interior grid of the public residual stencils: radii by phases
 _STENCIL_S = 16
 _STENCIL_T = 32
+# the suite's residuals: centres in tau, and the targets at each in half
+# steps h/2 (centre, +h, -h, +h/2, -h/2)
+_CHART_CENTRES = 16
+_HALF_STEPS = np.array([0.0, 2.0, -2.0, 1.0, -1.0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -125,15 +135,15 @@ class _Stencil(NamedTuple):
     p: np.ndarray
 
 
-def _stencil(profile: MinimizerProfile, h: float, centre_h: float) -> _Stencil:
+def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
     """The stencil field of step h on the interior _STENCIL_S x _STENCIL_T
-    grid of the centre step centre_h >= h (r + 2 centre_h to 1 - 2
-    centre_h), with the profile solved once for both residual kernels."""
+    grid (r + 2h to 1 - 2h), with the profile solved once for both
+    residual kernels."""
     r = profile.spec.r
-    lo, hi = r + 2.0 * centre_h, 1.0 - 2.0 * centre_h
+    lo, hi = r + 2.0 * h, 1.0 - 2.0 * h
     if not lo < hi:
         raise StencilOutOfDomain(
-            f"stencil step h={centre_h} leaves no interior grid in [{r}, 1]"
+            f"stencil step h={h} leaves no interior grid in [{r}, 1]"
         )
     s = np.linspace(lo, hi, _STENCIL_S)
     t = 2.0 * math.pi * np.arange(_STENCIL_T) / _STENCIL_T
@@ -153,7 +163,7 @@ def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> f
     first integral to rounding accuracy, so the result is pure stencil
     truncation error (second order in h).
     """
-    return float(np.max(np.abs(_pde_residual(_stencil(profile, h, h), metric))))
+    return float(np.max(np.abs(_pde_residual(_stencil(profile, h), metric))))
 
 
 def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> np.ndarray:
@@ -179,7 +189,7 @@ def general_harmonic_residual(
     """Max modulus of the finite-difference d/dzbar of the sampled field
     rho(w) w_z conj(w_zbar); identically zero for a solved profile, whose
     field is the meromorphic c/(4 z^2)."""
-    field = _general_harmonic_residual(profile, _stencil(profile, h, h), metric)
+    field = _general_harmonic_residual(profile, _stencil(profile, h), metric)
     return float(np.max(np.abs(field)))
 
 
@@ -189,6 +199,80 @@ def _general_harmonic_residual(profile: MinimizerProfile, stencil: _Stencil,
     s = stencil.s
     hopf = _columns(profile, metric, s, stencil.z / s, stencil.p).hopf
     return ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * stencil.h)
+
+
+class _ChartResidual(NamedTuple):
+    """A residual of the suite at the chart's centres: its values at steps h
+    and h/2 (rows), the scale of the terms it is formed from, and its
+    rounding floor at h/2."""
+
+    steps: np.ndarray
+    scale: float
+    floor: float
+
+
+def _chart_step(r: float) -> float:
+    """The residuals' step in tau: the largest power of two at most
+    min(1e-3, log(1/r)/32)."""
+    _, exponent = math.frexp(min(1e-3, math.log(1.0 / r) / 32.0))
+    return math.ldexp(1.0, exponent - 1)
+
+
+def _chart_points(profile: MinimizerProfile,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, p): _CHART_CENTRES centres on multiples of h/2 in [-L + 2h, -2h],
+    L = log(1/r), each with the targets tau + (0, +h, -h, +h/2, -h/2) as
+    rows of shape (5, _CHART_CENTRES), and p(e^tau) there.  For h a power of
+    two every target is an exact float, and all of them are solved in one
+    v_of_log call at Psi = -tau, with no log |z| rounded."""
+    half = 0.5 * h
+    first = math.ceil((2.0 * h - math.log(1.0 / profile.spec.r)) / half)
+    tau = (np.round(np.linspace(first, -4.0, _CHART_CENTRES)) + _HALF_STEPS) * half
+    psi = profile.psi
+    return tau, psi.y_of_v(psi.v_of_log(-tau)).reshape(tau.shape)
+
+
+def _chart_pde(profile: MinimizerProfile, metric: RadialMetric, p: np.ndarray,
+               h: float) -> _ChartResidual:
+    """1/4 [p_tautau - p + (rho'/2 rho)(p_tau^2 - p^2)] at the centres, with
+    p_tautau and p_tau by centred differences of step h and h/2.  The scale
+    is 1/4 max(|p_tautau|, p, |rho'/2 rho| (p_tau^2 + p^2)), read from the
+    first integral p_tau^2 = p^2 + c/rho and p_tautau = p - c rho'/(2 rho^2);
+    the floor carries the accuracy of p, v_of_log's stopping step tol_y =
+    2^-50 Q, through the h/2 second difference: 16 tol_y/h^2."""
+    c, centre = profile.c, p[0]
+    k = np.array([[h], [0.5 * h]])
+    plus, minus = p[1::2], p[2::2]
+    p_tt = (plus + minus - 2.0 * centre) / (k * k)
+    p_t = (plus - minus) / (2.0 * k)
+    density = metric.eval(centre)
+    log_rho = 0.5 * metric.deriv(centre) / density
+    steps = 0.25 * (p_tt - centre + log_rho * (p_t * p_t - centre * centre))
+    terms = np.maximum.reduce([np.abs(centre - c * log_rho / density), centre,
+                               np.abs(log_rho) * (2.0 * centre * centre
+                                                  + c / density)])
+    floor = 16.0 * 2.0**-50 * profile.spec.Q / (h * h)
+    return _ChartResidual(steps, 0.25 * float(np.max(terms)), floor)
+
+
+def _chart_hopf(profile: MinimizerProfile, metric: RadialMetric,
+                tau: np.ndarray, p: np.ndarray, h: float) -> _ChartResidual:
+    """d/dzetabar = 1/2 d/dtau, by centred differences of step h and h/2, of
+    the evaluator's field rho w_zeta conj(w_zetabar) = z^2 rho w_z
+    conj(w_zbar) at the centres (theta = 0).  The evaluator reads p' from
+    the first integral, which makes that field the constant c/4 at any p, so
+    its exact value is 0 and what this measures is the evaluator's rounding.
+    The scale is the field's term size 1/4 max rho (p_tau^2 + p^2) = 1/4 max
+    (2 rho p^2 + c), and the floor 16 eps of it through the h/2 difference:
+    16 eps scale/h."""
+    s = np.exp(tau)
+    field = s * s * _columns(profile, metric, s, 1.0, p).hopf
+    k = np.array([[h], [0.5 * h]])
+    steps = (field[1::2] - field[2::2]) / (4.0 * k)
+    centre = p[0]
+    scale = 0.25 * float(np.max(2.0 * metric.eval(centre) * centre * centre
+                                + profile.c))
+    return _ChartResidual(steps, scale, 16.0 * _EPS * scale / h)
 
 
 def hopf_constancy_check(
@@ -370,20 +454,33 @@ def modulus_equivalence_check(
     return report
 
 
-def _residual_order_record(name: str, res_h: float, res_half: float,
-                           h: float, scale: float) -> CheckRecord:
-    if res_h <= _NOISE_FLOOR * scale:
-        return CheckRecord.measure(
+def _residual_records(name: str, residual: _ChartResidual, h: float,
+                      bound: float) -> tuple[CheckRecord, CheckRecord]:
+    """The residual's entry, max |4 R(h/2) - R(h)|/3 (the h^2 truncation
+    cancels pointwise) over its term scale, and its _order entry, which
+    fits the order from the raw maxima at h and h/2 where R(h) stands above
+    the rounding floor."""
+    at_h, at_half = residual.steps
+    extrapolated = float(np.max(np.abs(4.0 * at_half - at_h))) / 3.0
+    res_h, res_half = float(np.max(np.abs(at_h))), float(np.max(np.abs(at_half)))
+    scales = (f"h={h:g}, term scale {residual.scale:.6g}, rounding floor "
+              f"{residual.floor:.3g}")
+    entry = CheckRecord.measure(
+        name, extrapolated / residual.scale, bound,
+        f"max |4 R(h/2) - R(h)|/3 = {extrapolated:.3g} over the term scale; "
+        + scales)
+    if res_h <= residual.floor:
+        order = CheckRecord.measure(
             f"{name}_order", 0.0, 0.0,
-            f"residual {res_h:.3g} at h={h:g} is below the noise floor; "
-            "order not measurable",
-        )
-    return CheckRecord.measure(
-        f"{name}_order", res_half, res_h / 2.0**_MIN_ORDER,
-        f"residual {res_h:.3g} at h={h:g} vs {res_half:.3g} at h/2 "
-        f"(fitted order {math.log2(res_h / res_half):.2f})"
-        if res_half > 0.0 else "residual vanished under halving",
-    )
+            f"residual {res_h:.3g} at h is within the rounding floor; order "
+            "not measurable; " + scales)
+    else:
+        order = CheckRecord.measure(
+            f"{name}_order", res_half, res_h / 2.0**_MIN_ORDER,
+            (f"residual {res_h:.3g} at h vs {res_half:.3g} at h/2 (fitted "
+             f"order {math.log2(res_h / res_half):.2f})" if res_half > 0.0
+             else "residual vanished under halving") + "; " + scales)
+    return entry, order
 
 
 def _solved(spec: ProblemSpec,
@@ -422,12 +519,13 @@ def run_full_suite(
     formed from and compares that with a unitless constant, so no verdict
     changes when the target annulus is scaled: the modulus gap by
     build_profile's rule; the constraint over max p^2 rho(p); the Hopf
-    entries over max |z|^2 rho ||Dw||^2 / 4; the residuals, Richardson
-    extrapolated from steps h and h/2 on one set of stencil centres, over
-    max p/s^2 and max rho(p) p^2/s^3; the energy over twice the area of
-    A(p(r), Q); the distortion entries over max ||Dw||^2; the stretches
-    over q/r; and the radial probe's excess over the energy.  The class
-    (c == 0 is Conformal) decides which energy entry applies.
+    entries over max |z|^2 rho ||Dw||^2 / 4; the residuals in the chart
+    zeta = log z, Richardson extrapolated from steps h and h/2 in tau on
+    one set of centres, over the size of their terms (see _chart_pde and
+    _chart_hopf); the energy over twice the area of A(p(r), Q); the
+    distortion entries over max ||Dw||^2; the stretches over q/r; and the
+    radial probe's excess over the energy.  The class (c == 0 is
+    Conformal) decides which energy entry applies.
 
     Deterministic for a fixed config (the perturbation seed lives in the
     config).  An infeasible configuration is reported as a failed
@@ -481,26 +579,15 @@ def run_full_suite(
     arrays = field_arrays(profile, metric, grid.s_values, grid.t_values)
     report.checks += _hopf_records(c, arrays, metric, check_tol)
 
-    # PDE residuals, both steps on the centres of h: the h^2 truncation
-    # cancels pointwise in (4 tau(h/2) - tau(h)) / 3; the raw residuals
-    # give the order
-    h = min(1e-3, (1.0 - r) / 32.0)
-    steps = _stencil(profile, h, h), _stencil(profile, h / 2.0, h)
-    s, p = steps[0].s[0], steps[0].p[0]
-    for name, kernel, scale, terms in (
-        ("pde_residual", lambda step: _pde_residual(step, metric),
-         np.max(p / s**2), "max p/s^2"),
-        ("general_harmonic_residual",
-         lambda step: _general_harmonic_residual(profile, step, metric),
-         np.max(metric.eval(p) * p * p / s**3), "max rho(p) p^2/s^3"),
-    ):
-        at_h, at_half = (kernel(step) for step in steps)
-        extrapolated = float(np.max(np.abs(4.0 * at_half - at_h))) / 3.0
-        check(name, extrapolated / scale, 1e-5,
-              f"max |4 tau(h/2) - tau(h)|/3 = {extrapolated:.3g} at h={h:g} "
-              f"over {terms} = {scale:.6g}")
-        report.checks.append(_residual_order_record(
-            name, *(float(np.max(np.abs(f))) for f in (at_h, at_half)), h, scale))
+    # harmonic-map residuals in the chart zeta = log z, both kernels and
+    # both steps on one set of points solved at once
+    h = _chart_step(r)
+    tau, p = _chart_points(profile, h)
+    report.checks += _residual_records(
+        "pde_residual", _chart_pde(profile, metric, p, h), h, 1e-6)
+    report.checks += _residual_records(
+        "general_harmonic_residual", _chart_hopf(profile, metric, tau, p, h),
+        h, 1e-7)
 
     # energy bounds, by twice the area of the annulus the energy spans
     total_energy = solved["energy"]

@@ -316,6 +316,18 @@ class TestVerify:
                               "--r", r, "--tol", tol)
         assert code == 0, text
 
+    @pytest.mark.parametrize("r, code", [
+        # log(1/r) = 0.01: the residuals' step 2^-12 leaves the truncation
+        # above the rounding floor of p
+        ("0.99", 0),
+        # log(1/r) = 1e-9: no step in double precision resolves the residual
+        ("0.999999999", 3),
+    ])
+    def test_thin_annulus(self, r, code):
+        got, text = run_main("verify", "--metric", "euclidean", "--q", "0.5",
+                             "--Q", "1", "--r", r)
+        assert got == code, text
+
     def test_tampered_tolerance_fails(self):
         out = run_cli("verify", "--metric", "euclidean", "--q", "0.8",
                       "--Q", "1", "--r", "0.5", "--tol", "1e-30")

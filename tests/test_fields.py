@@ -280,6 +280,21 @@ class TestExportGrid:
                     assert type(value) is type(expected.item())
                     assert np.asarray(value).tobytes() == expected.tobytes()
 
+    def test_rows_are_field_samples(self, sphere_expanding):
+        # rows are built without FieldSample._make; each must still be a
+        # FieldSample equal to _make of the same columns
+        metric = parse_metric("sphere")
+        grid = PolarGrid(n_s=8, n_t=16, s_range=(sphere_expanding.spec.r, 1.0))
+        rows = export_grid(sphere_expanding, metric, grid)
+        arrays = field_arrays(sphere_expanding, metric, grid.s_values,
+                              grid.t_values)
+        columns = [arrays[name].ravel().tolist() for name in FieldSample._fields]
+        expected = [FieldSample._make(values) for values in zip(*columns)]
+        assert len(rows) == len(expected) == grid.n_s * grid.n_t
+        for row, want in zip(rows, expected):
+            assert type(row) is FieldSample
+            assert row == want
+
     def test_field_names(self):
         assert FieldSample._fields == ("z", "w", "wz", "wzb", "jac", "opnorm",
                                        "lonorm", "hopf")
