@@ -79,12 +79,6 @@ class FieldSample(NamedTuple):
     hopf: complex
 
 
-def _require_in_annulus(profile: MinimizerProfile, s: float) -> None:
-    r = profile.spec.r
-    if not (r - _ANNULUS_SLACK <= s <= 1.0 + _ANNULUS_SLACK):
-        raise OutOfAnnulus(f"|z| = {s} outside the closed annulus [{r}, 1]")
-
-
 def _columns(
     profile: MinimizerProfile, metric: RadialMetric, s, phase, p=None
 ) -> FieldSample:
@@ -97,7 +91,7 @@ def _columns(
     s = np.asarray(s, dtype=float)
     if p is None:
         p = profile.profile(s)
-    dp = profile.psi.slope(s, p)
+    dp = profile.p_tau(p) / s
     tangential = p / s
     wz = (0.5 * (dp + tangential)).astype(complex)
     wzb = 0.5 * (dp - tangential) * phase**2
@@ -110,8 +104,9 @@ def _columns(
 
 def _at_point(profile: MinimizerProfile, metric: RadialMetric,
               z: complex) -> FieldSample:
-    s = abs(z)
-    _require_in_annulus(profile, s)
+    s, r = abs(z), profile.spec.r
+    if not (r - _ANNULUS_SLACK <= s <= 1.0 + _ANNULUS_SLACK):
+        raise OutOfAnnulus(f"|z| = {s} outside the closed annulus [{r}, 1]")
     return _columns(profile, metric, s, z / s)
 
 
@@ -143,12 +138,12 @@ def energy(profile: MinimizerProfile, metric: RadialMetric) -> float:
 
     With p' = sqrt(p^2 + c/rho(p)) / s and ds/s = dp / sqrt(p^2 + c/rho(p))
     it becomes 2 pi int_{p(r)}^Q (2 y^2 rho(y) + c) / sqrt(y^2 + c/rho(y)) dy,
-    integrated adaptively in the first integral's variable v.  ``metric``,
+    integrated adaptively (``MinimizerProfile.integrate``).  ``metric``,
     read for rho, must be the profile's own.
     """
     c = profile.c
     weight = lambda y: 2.0 * y * y * metric.eval(y) + c
-    return 2.0 * math.pi * profile.psi.integrate(weight, profile.inner_v)
+    return 2.0 * math.pi * profile.integrate(weight)
 
 
 def lipschitz_constant(
@@ -156,48 +151,46 @@ def lipschitz_constant(
 ) -> tuple[float, float]:
     """(sup |Dw|, inf l(Dw)) over the annulus.
 
-    Both stretches p/s and p' are t-independent for radial maps, and the
-    first integral p'^2 - (p/s)^2 = c / (rho(p) s^2) orders them: p' - p/s
-    has the sign of c.  As d(p/s)/ds = (p' - p/s) / s, p/s is monotone and
-    its extreme is p(r)/r: sup |Dw| for c <= 0, inf l(Dw) for c > 0.  The
-    other constant is the extreme of p' (its min for c <= 0, its max for
-    c > 0).  Along the profile p' = sqrt(R(p)) e^{Psi(p)} with R(y) = y^2 +
-    c/rho(y), so d log p'/dy = (R'/2 - sqrt(R)) / R, and its sign is that of
-    T(y) = y - c (rho'(y)/rho(y)) / (2 rho(y)) - sqrt(R(y)), which needs only
-    rho and rho' of the profile's metric.  T is scanned at 1,024 points of the
-    first integral's variable v from p(r) to Q, each sign change refined to
-    1e-12 of the v span, and p' is read at those turning points and at the
-    two ends.  ``metric`` must be the profile's own: the profile's is read.
+    Both stretches p/s and p' are t-independent, and the first integral
+    p'^2 - (p/s)^2 = c / (rho(p) s^2) gives p' - p/s the sign of c.  As
+    d(p/s)/ds = (p' - p/s) / s, p/s is monotone with extreme p(r)/r: sup
+    |Dw| for c <= 0, inf l(Dw) for c > 0.  The other constant is the min of
+    p' for c <= 0, its max for c > 0.  As p' = sqrt(R) e^{Psi(p)}, R = y^2
+    + c/rho, d log p'/dy has the sign of T(y) = y - c (rho'/rho) / (2 rho) -
+    sqrt(R), scanned at the profile's samples (which hold p and sqrt(R) =
+    p_tau), each sign change refined in y to 1e-12 of the span of p; p' =
+    p_tau/s is read there and at the ends, with s from ``inverse``.  For c =
+    0, p' = p/s along the profile, and an inner end placed at q (see
+    ``MinimizerProfile.inner``) may lie on either side: the pair spans
+    both.  ``metric`` must be the profile's own: the profile's is read.
     """
-    psi, c = profile.psi, profile.c
-    rho, drho = psi.metric.eval, psi.metric.deriv
+    c, samples = profile.c, profile.samples
+    rho, drho = profile.spec.metric.eval, profile.spec.metric.deriv
 
-    def turning(v):
-        y = psi.y_of_v(v)
-        density = rho(y)
-        radicand = y * y + c / density
+    def turning(y, density, root):
         # rho'/rho first: rho^2 underflows for steep densities (power:1000)
-        return (y - 0.5 * c * (drho(y) / density) / density
-                - np.sqrt(np.maximum(radicand, 0.0)))
+        return y - 0.5 * c * (drho(y) / density) / density - root
 
-    lo, hi = profile.inner_v, psi.edges[-1]
-    v = np.linspace(lo, hi, 1024)
-    t = turning(v)
+    y = samples.p
+    t = turning(y, samples.rho, samples.p_tau)
     sign = np.sign(t)
     zero = sign == 0.0
     # p' is stationary along a run of zeros of T (all of [q, Q] for c = 0):
     # the run's ends stand for it
     ends = zero[1:-1] & ~(zero[:-2] & zero[2:])
-    candidates = [lo, hi, *v[1:-1][ends]]
-    xtol = 1e-12 * (hi - lo)
+    candidates = [y[0], y[-1], *y[1:-1][ends]]
+    xtol = 1e-12 * (y[-1] - y[0])
     for k in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
         candidates.append(find_root_bracketed(
-            turning, v[k], v[k + 1], 0.0, xtol=xtol, f_lo=t[k],
-            f_hi=t[k + 1]))
+            lambda x: turning(x, rho(x), profile.p_tau(x)), y[k], y[k + 1],
+            0.0, xtol=xtol, f_lo=t[k], f_hi=t[k + 1]))
     candidates = np.array(candidates)
-    slopes = psi.slope(np.exp(-psi.at_v(candidates)), psi.y_of_v(candidates))
+    slopes = profile.p_tau(candidates) / profile.inverse(candidates)
     extreme = slopes.min() if c <= 0.0 else slopes.max()
-    edge = profile.inner / profile.spec.r
+    r = profile.spec.r
+    edge = profile.inner / r
+    if c == 0.0 and profile.inner != profile.profile(r):
+        return max(edge, float(slopes.max())), min(edge, float(extreme))
     return (edge, float(extreme)) if c <= 0.0 else (float(extreme), edge)
 
 

@@ -7,9 +7,9 @@ differential is c/(4 z^2), which gives the first integral
     log(1/s) = Psi(p) := int_p^Q dy / sqrt(y^2 + c/rho(y)),
 
 and the constant c is fixed by the modulus equation mu(c) := Psi(q) =
-log(1/r).  One ``Psi`` table carries all of it: the modulus, the profile
-p(s), its inverse s(p) = exp(-Psi(p)) and the slope p' = sqrt(p^2 +
-c/rho(p)) / s.
+log(1/r).  One ``Psi`` table carries all of it, and MinimizerProfile
+reads it along tau = log s: p with Psi(p) = -tau, s(p) = exp(-Psi(p)) and
+p_tau = s p' = sqrt(p^2 + c/rho(p)).
 
 mu is strictly decreasing in c and attains its largest (possibly infinite)
 value at the critical constant c0 = -min_{[q,Q]} y^2 rho(y); domain annuli
@@ -69,7 +69,7 @@ CRITICAL = "Critical"
 
 # absolute error allowed the quadrature of Psi over [q, Q]
 _MODULUS_TOL = 1e-11
-# relative error allowed Psi.integrate
+# relative error allowed MinimizerProfile.integrate
 _INTEGRAL_TOL = 1e-13
 # closeness of c to the critical constant, relative to |c0|, below which the
 # modulus integrand must be treated as endpoint-singular
@@ -87,6 +87,8 @@ _TINY = np.finfo(float).tiny
 # 15-point Gauss-Legendre rule on [0, 1], the fine rule of the panels
 _NODES01 = 0.5 * (_GAUSS_HI[0] + 1.0)
 _WEIGHTS01 = 0.5 * _GAUSS_HI[1]
+# the points of a profile's sample set (odd, for Simpson's rule)
+_SAMPLES = 2049
 
 
 @dataclass(frozen=True)
@@ -468,43 +470,6 @@ class Psi:
                 f"Newton sweeps: v in [{lo[i]:.17g}, {hi[i]:.17g}]")
         return v
 
-    def radius(self, s):
-        """The profile p(s): Psi(p) = log(1/s) for s < 1, continued past q
-        below r; exactly Q for s >= 1, where the profile is not continued (the
-        fields' slack sends points like 1 + 1e-13 here).  Each distinct
-        radius is solved once."""
-        # the log of a contiguous copy: numpy rounds the log of a strided or
-        # reversed view differently, and p(s) must not depend on the layout
-        target = -np.log(np.array(s, dtype=float))
-        distinct, where = np.unique(target, return_inverse=True)
-        p = self.y_of_v(self.v_of_log(distinct))[where].reshape(target.shape)
-        p = np.where(target <= 0.0, self.Q, p)
-        return float(p) if p.ndim == 0 else p
-
-    def slope(self, s, p):
-        """p'(s) from the first integral at a profile radius p = p(s)."""
-        out = np.sqrt(np.maximum(self._radicand(p), 0.0)) / s
-        return float(out) if np.ndim(out) == 0 else out
-
-    def integrate(self, weight, v_lo: float) -> float:
-        """int_{y(v_lo)}^Q weight(y) dy / sqrt(y^2 + c/rho(y)) for a positive
-        weight, adaptively in v, from the table's own panels on [v_lo, v(Q)]
-        (which already resolve g, and split at the anchor), to _INTEGRAL_TOL
-        relative to the first pass over them, with panels settled at the
-        rounding floor of g."""
-
-        def integrand(v):
-            g, noise = self.g(v, noisy=True)
-            w = weight(self.y_of_v(v))
-            return g * w, noise * np.abs(w)
-
-        v_hi = self.edges[-1]
-        inside = self.edges[(self.edges > v_lo) & (self.edges < v_hi)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _adaptive_core(integrand, v_lo, v_hi, _INTEGRAL_TOL,
-                                  np.concatenate(([v_lo], inside, [v_hi])),
-                                  relative=True)[0]
-
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, ...]:
         """(2Q|v|, y^2, rho) at the nodes of both Gauss rules on each panel
@@ -697,15 +662,43 @@ def _classify(c: float, c_crit: float) -> str:
     return EXPANDING if c > 0.0 else SUBCRITICAL
 
 
+class _Samples:
+    """The profile at _SAMPLES points uniform in Psi's variable v from p(r)
+    to Q, which need no inverse: ``p``, ``rho`` = rho(p) and ``p_tau`` = s
+    p'; when first read, ``tau`` = log s = -Psi(p) (log r and 0 at the ends)
+    and ``weights`` in tau, Simpson's rule in v times dtau/dv = g (its limit
+    at a critical anchor), with int_{log r}^0 f dtau = sum(weights f)."""
+
+    def __init__(self, profile: MinimizerProfile):
+        self._psi, self._r = profile.psi, profile.spec.r
+        self._v = np.linspace(profile._inner[0], self._psi.edges[-1], _SAMPLES)
+        self.p = p = self._psi.y_of_v(self._v)
+        self.rho = rho = profile.spec.metric.eval(p)
+        self.p_tau = np.sqrt(np.maximum(p * p + profile.c / rho, 0.0))
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        tau = -self._psi.at_v(self._v)
+        tau[[0, -1]] = math.log(self._r), 0.0
+        return tau
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        simpson = np.tile([2.0, 4.0], _SAMPLES // 2 + 1)[:_SAMPLES]
+        simpson[[0, -1]] = 1.0
+        step = (self._v[-1] - self._v[0]) / (_SAMPLES - 1)
+        return step / 3.0 * simpson * self._psi.g_limit(self._v)
+
+
 @dataclass(frozen=True)
 class MinimizerProfile:
-    """A solved radial minimizer.
+    """A solved radial minimizer, read along tau = log s.
 
-    ``psi`` is the first integral the profile is read from: ``profile(s)``
-    inverts log(1/s) = Psi(p), ``inverse(p)`` is exp(-Psi(p)) on [q, Q]
-    and ``slope(s)`` is p'(s).  ``c`` is the variational constant of the
-    modulus equation and ``critical_c`` the critical constant of the
-    (q, Q, metric) triple.
+    ``psi`` is the first integral, whose layout only this class reads:
+    ``at_tau`` inverts -tau = Psi(p), ``inverse(p)`` is exp(-Psi(p)),
+    ``p_tau(p)`` is s p', ``samples`` and ``integrate`` read along tau.
+    ``c`` is the variational constant of the modulus equation and
+    ``critical_c`` the critical constant of the (q, Q, metric) triple.
     """
 
     c: float
@@ -722,11 +715,10 @@ class MinimizerProfile:
 
     @cached_property
     def _inner(self) -> tuple[float, float]:
-        """(inner_v, inner): the solved p(r) where it meets q within 1e-6 Q,
-        else q itself.  build_profile admits a p(r) that far from q only
-        where Psi is so flat next to q that a modulus gap within tol_c moves
-        it there; the boundary condition p(r) = q then places the inner end
-        (profile(r) keeps the solved p(r))."""
+        """(v, inner): the solved p(r) where it meets q within 1e-6 Q, else q.
+        build_profile admits a p(r) that far from q only where a modulus gap
+        within tol_c moves it there; the boundary condition p(r) = q then
+        places the inner end (profile(r) keeps the solved p(r))."""
         v, p = self._solved_inner
         q = self.spec.q
         if abs(p - q) > 1e-6 * self.spec.Q:
@@ -734,36 +726,89 @@ class MinimizerProfile:
         return v, p
 
     @property
-    def inner_v(self) -> float:
-        """v at ``inner``."""
-        return self._inner[0]
-
-    @property
     def inner(self) -> float:
-        """p(r) at the inner end, where the edge stretch p(r)/r, the p' scan
+        """p(r) at the inner end, where the edge stretch p(r)/r, the samples
         and the energy start (see ``_inner``)."""
         return self._inner[1]
 
+    def at_tau(self, tau):
+        """p with Psi(p) = -tau, scalar or array, continued past q below log r
+        and exactly Q for tau >= 0 (the fields' slack sends 1 + 1e-13 here).
+        Each distinct tau is solved once, the same whatever is asked with it.
+        """
+        tau = np.asarray(tau, dtype=float)
+        distinct, where = np.unique(tau, return_inverse=True)
+        p = self.psi.y_of_v(self.psi.v_of_log(-distinct))[where]
+        p = np.where(tau >= 0.0, self.psi.Q, p.reshape(tau.shape))
+        return float(p) if p.ndim == 0 else p
+
     def profile(self, s):
-        """p(s), scalar or array, solved from Psi(p) = log(1/s): continued
-        past q below r, and Q above 1 (see Psi.radius).  A point's value
-        does not depend on the points asked with it.  Raises OutOfAnnulus
-        where s is not a positive finite number."""
+        """p(s) = at_tau(log s); OutOfAnnulus unless s is positive finite."""
         s = np.asarray(s, dtype=float)
         bad = ~(np.isfinite(s) & (s > 0.0))
         if bad.any():
             raise OutOfAnnulus(f"radius {s[bad].flat[0]} is not a positive "
                                f"finite number")
-        return self.psi.radius(s)
+        # the log of a contiguous copy: numpy rounds the log of a strided or
+        # reversed view differently, and p(s) must not depend on the layout
+        return self.at_tau(np.log(np.array(s)))
 
     def inverse(self, p):
         """s(p) = exp(-Psi(p)), scalar or array."""
         out = np.exp(-self.psi.at_v(self.psi.v_of_y(p)))
         return float(out) if np.ndim(out) == 0 else out
 
+    def p_tau(self, p):
+        """dp/dtau = s p' = sqrt(max(p^2 + c/rho(p), 0)) at profile radii p."""
+        out = np.sqrt(np.maximum(self.psi._radicand(p), 0.0))
+        return float(out) if np.ndim(out) == 0 else out
+
     def slope(self, s):
-        """p'(s) = sqrt(p^2 + c/rho(p)) / s, from the first integral."""
-        return self.psi.slope(s, self.profile(s))
+        """p'(s) = p_tau(p(s)) / s, from the first integral."""
+        return self.p_tau(self.profile(s)) / s
+
+    @cached_property
+    def samples(self) -> _Samples:
+        """The one sample set of the profile (see _Samples)."""
+        return _Samples(self)
+
+    def integrate(self, weight) -> float:
+        """int_{log r}^0 weight(p) dtau = int_{p(r)}^Q weight(y) dy / sqrt(y^2
+        + c/rho(y)) for a positive weight, adaptively in v from the table's
+        own panels (which already resolve g, and split at the anchor), to
+        _INTEGRAL_TOL relative to the first pass over them, with panels
+        settled at the rounding floor of g."""
+        psi, v_lo = self.psi, self._inner[0]
+
+        def integrand(v):
+            g, noise = psi.g(v, noisy=True)
+            w = weight(psi.y_of_v(v))
+            return g * w, noise * np.abs(w)
+
+        v_hi = psi.edges[-1]
+        inside = psi.edges[(psi.edges > v_lo) & (psi.edges < v_hi)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _adaptive_core(integrand, v_lo, v_hi, _INTEGRAL_TOL,
+                                  np.concatenate(([v_lo], inside, [v_hi])),
+                                  relative=True)[0]
+
+
+def _modulus_gap(profile: MinimizerProfile,
+                 tol_c: float) -> tuple[float, float, float]:
+    """build_profile's consistency rule for (q, Q, r, c): (ratio, gap, p(r)),
+    where the ratio, above 1 for inconsistent data, is the smaller of the
+    modulus gap Psi(q) - log(1/r) over tol_c plus a few ulps of log(1/r) and
+    |p(r) - q| over 1e-6 Q.  Either alone is not enough: where Psi is flat
+    next to q, a gap within tol_c moves p(r) far from q (the inner end is
+    then placed at q, see ``MinimizerProfile._inner``); and for a root in
+    its collar solve_c returns c0, where mu is steep, so the gap exceeds
+    tol_c while p(r) meets q."""
+    spec = profile.spec
+    target = math.log(1.0 / spec.r)
+    gap = profile.psi.total - target
+    reached = profile._solved_inner[1]
+    return (min(abs(gap) / (tol_c + 4.0 * _EPS * target),
+                abs(reached - spec.q) / (1e-6 * spec.Q)), gap, reached)
 
 
 def build_profile(
@@ -774,36 +819,20 @@ def build_profile(
 
     The class is read from c as solve_c returns it: Conformal for c == 0,
     Critical for c == c0 (both exact returns), else by the sign of c.
-    Raises ProfileMismatch when the supplied (q, Q, r, c) are inconsistent:
-    the modulus gap Psi(q) - log(1/r), which solve_c holds within tol_c,
-    exceeds tol_c plus a few ulps of log(1/r), and p(r), the solution of
-    Psi(p) = log(1/r), misses q by more than 1e-6 Q.  Either alone is not
-    enough: where Psi is flat next to q, a gap within tol_c moves p(r) far
-    from q, and the profile's inner end is then q itself (see
-    ``MinimizerProfile._inner``); and for a root inside its collar next to
-    c0 solve_c returns c0, where mu is steep, so the gap exceeds tol_c while
-    p(r) meets q.  The table is read through the solver's one-entry cache,
-    so right after solve_c on the same metric object and radii it is the
-    table solve_c built at its root.
+    Raises ProfileMismatch for (q, Q, r, c) inconsistent by _modulus_gap.
+    The table is read through the solver's one-entry cache, so right after
+    solve_c on the same metric and radii it is the table of its root.
     """
-    metric, q, Q, r = spec.metric, spec.q, spec.Q, spec.r
-    psi = _psi(metric, q, Q, c)
-    profile = MinimizerProfile(
-        c=c,
-        psi=psi,
-        classification=_classify(c, psi.critical_c),
-        spec=spec,
-        critical_c=psi.critical_c,
-    )
-    target = math.log(1.0 / r)
-    gap = psi.total - target
-    reached = profile._solved_inner[1]
-    mismatch = abs(reached - q)
-    if abs(gap) > config.tol_c + 4.0 * _EPS * target and mismatch > 1e-6 * Q:
+    psi = _psi(spec.metric, spec.q, spec.Q, c)
+    profile = MinimizerProfile(c=c, psi=psi, spec=spec,
+                               classification=_classify(c, psi.critical_c),
+                               critical_c=psi.critical_c)
+    ratio, gap, reached = _modulus_gap(profile, config.tol_c)
+    if ratio > 1.0:
         raise ProfileMismatch(
-            f"profile reached p(r)={reached:.12g}, expected q={q:.12g} "
-            f"(off by {mismatch:.3g}); modulus gap Psi(q) - log(1/r) = "
-            f"{gap:.3g} at c - c_crit = {c - psi.critical_c:.3g}; "
+            f"profile reached p(r)={reached:.12g}, expected q={spec.q:.12g} "
+            f"(off by {abs(reached - spec.q):.3g}); modulus gap Psi(q) - "
+            f"log(1/r) = {gap:.3g} at c - c_crit = {c - psi.critical_c:.3g}; "
             f"(q, Q, r, c) are inconsistent"
         )
     return profile

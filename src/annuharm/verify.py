@@ -13,15 +13,16 @@ holomorphy of the evaluator's quadratic-differential field is checked by
 differencing that field along tau at the same points.  The public
 ``pde_residual`` and ``general_harmonic_residual`` keep their Cartesian
 stencils (5-point Laplacian and centred Wirtinger derivatives on a 16 x 32
-polar grid).  Energy bounds, distortion inequalities and radial local
-minimality are probed directly.
+polar grid).  Energy bounds, distortion inequalities, the Lipschitz pair and
+radial local minimality (the last two on the profile's samples along tau)
+are probed directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,7 @@ from .solver import (
     MinimizerProfile,
     ProblemSpec,
     SolverConfig,
+    _modulus_gap,
     build_profile,
     solve_c,
 )
@@ -100,19 +102,8 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
     def as_dict(self) -> dict:
-        return {
-            "checks": [
-                {
-                    "name": c.name,
-                    "measured": c.measured,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed,
-        }
+        return {"checks": [asdict(check) for check in self.checks],
+                "all_passed": self.all_passed}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent)
@@ -222,14 +213,13 @@ def _chart_points(profile: MinimizerProfile,
                   h: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, p): _CHART_CENTRES centres on multiples of h/2 in [-L + 2h, -2h],
     L = log(1/r), each with the targets tau + (0, +h, -h, +h/2, -h/2) as
-    rows of shape (5, _CHART_CENTRES), and p(e^tau) there.  For h a power of
-    two every target is an exact float, and all of them are solved in one
-    v_of_log call at Psi = -tau, with no log |z| rounded."""
+    rows of shape (5, _CHART_CENTRES), and p there.  For h a power of two
+    every target is an exact float, and all of them are solved in one
+    at_tau call, with no log |z| rounded."""
     half = 0.5 * h
     first = math.ceil((2.0 * h - math.log(1.0 / profile.spec.r)) / half)
     tau = (np.round(np.linspace(first, -4.0, _CHART_CENTRES)) + _HALF_STEPS) * half
-    psi = profile.psi
-    return tau, psi.y_of_v(psi.v_of_log(-tau)).reshape(tau.shape)
+    return tau, profile.at_tau(tau)
 
 
 def _chart_pde(profile: MinimizerProfile, metric: RadialMetric, p: np.ndarray,
@@ -326,13 +316,6 @@ def _sine_bump(rng, basis) -> tuple[np.ndarray, np.ndarray]:
     return phi / scale, dphi / scale
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson rule on an odd number of uniform samples."""
-    h = (x[-1] - x[0]) / (x.size - 1)
-    inner = 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
-    return float(h / 3.0 * (y[0] + inner + y[-1]))
-
-
 def minimality_probe(
     profile: MinimizerProfile,
     metric: RadialMetric,
@@ -347,30 +330,23 @@ def minimality_probe(
     than 1e-12 of its unperturbed value and that the excess scales
     quadratically, so that neither entry depends on the scale of the target
     annulus.  Competitors are radial with fixed boundary values; this is
-    radial local minimality only.  The energy is sampled at 2,049 uniform
-    points of the first integral's variable v, from p(r) to Q, where p =
-    y(v) and s = exp(-Psi) need no inverse, and integrated by Simpson's rule
-    in v with s ds = s^2 g(v) dv.
+    radial local minimality only.  The energy 2 pi int rho(p) (p_tau^2 +
+    p^2) dtau is summed over the profile's samples with their weights in
+    tau; a bump's p_tau is s times its slope in s.
     """
     if eps > 1e-2:
         raise ValueError("eps must be at most 1e-2")
     rng = np.random.default_rng(seed)
-    spec = profile.spec
-    r = spec.r
-    amplitude = eps * spec.Q
-    psi = profile.psi
-    v = np.linspace(profile.inner_v, psi.edges[-1], 2049)
-    p0 = psi.y_of_v(v)
-    s = np.exp(-psi.at_v(v))
-    s[0], s[-1] = r, 1.0
-    weight = s * s * psi.g_limit(v)
+    r, amplitude = profile.spec.r, eps * profile.spec.Q
+    samples = profile.samples
+    p0, dp0, weights = samples.p, samples.p_tau, samples.weights
+    s = np.exp(samples.tau)
     basis = _sine_basis((s - r) / (1.0 - r))
-    dp0 = psi.slope(s, p0)
     lo, hi = metric.valid_interval
 
-    def discrete_energy(p, dp):
-        integrand = metric.eval(p) * (dp * dp + (p / s) ** 2) * weight
-        return 2.0 * math.pi * _simpson(integrand, v)
+    def discrete_energy(p, p_tau):
+        integrand = metric.eval(p) * (p_tau * p_tau + p * p) * weights
+        return 2.0 * math.pi * float(np.sum(integrand))
 
     base = discrete_energy(p0, dp0)
     min_excess = math.inf
@@ -383,7 +359,7 @@ def minimality_probe(
                     f"{metric.valid_interval} after 100 retries"
                 )
             phi, dphi = _sine_bump(rng, basis)
-            dphi = dphi / (1.0 - r)  # chain rule from unit grid to s
+            dphi = dphi * s / (1.0 - r)  # chain rule from unit grid to tau
             trial = p0 + amplitude * phi
             if np.all(trial > lo) and np.all(trial < hi) and np.all(trial > 0.0):
                 break
@@ -523,9 +499,9 @@ def run_full_suite(
     zeta = log z, Richardson extrapolated from steps h and h/2 in tau on
     one set of centres, over the size of their terms (see _chart_pde and
     _chart_hopf); the energy over twice the area of A(p(r), Q); the
-    distortion entries over max ||Dw||^2; the stretches over q/r; and the
-    radial probe's excess over the energy.  The class (c == 0 is
-    Conformal) decides which energy entry applies.
+    distortion entries over max ||Dw||^2; the Lipschitz pair over sup |Dw|;
+    the stretches over q/r; and the radial probe's excess over the energy.
+    The class (c == 0 is Conformal) decides which energy entry applies.
 
     Deterministic for a fixed config (the perturbation seed lives in the
     config).  An infeasible configuration is reported as a failed
@@ -552,14 +528,9 @@ def run_full_suite(
     check("solvable_configuration", 0.0, 0.0,
           f"c={c:.12g}, classification={profile.classification}")
 
-    # the modulus equation, by build_profile's rule: the gap within tol_c
-    # plus a few ulps of log(1/r), or p(r) within 1e-6 Q of q
-    psi = profile.psi
-    target = math.log(1.0 / r)
-    gap = psi.total - target
-    reached = profile.profile(r)
-    check("modulus_gap", min(abs(gap) / (config.tol_c + 4.0 * _EPS * target),
-                             abs(reached - q) / (1e-6 * Q)), 1.0,
+    # the modulus equation, by build_profile's rule
+    ratio, gap, reached = _modulus_gap(profile, config.tol_c)
+    check("modulus_gap", ratio, 1.0,
           f"Psi(q) - log(1/r) = {gap:.3g} (tol_c {config.tol_c:g}), "
           f"p(r) - q = {reached - q:.3g}: the smaller over its bound")
     s_sample = np.linspace(r, 1.0, 100)
@@ -568,8 +539,8 @@ def run_full_suite(
           "inverse(profile(s)) = s at 100 sample points")
 
     # admissibility of the constant along the profile
-    p_dense = psi.y_of_v(np.linspace(profile.inner_v, psi.edges[-1], 512))
-    weight = p_dense**2 * metric.eval(p_dense)
+    samples = profile.samples
+    weight = samples.p**2 * samples.rho
     weight_max = float(np.max(weight))
     check("constraint_lower_bound", -float(np.min(weight + c)) / weight_max, 1e-12,
           f"p^2 rho(p) + c >= 0, over max p^2 rho(p) = {weight_max:.6g}")
@@ -621,8 +592,15 @@ def run_full_suite(
     check("jacobian_sign", -float(np.min(arrays["jac"])) / norm_max, 1e-13,
           "sense-preserving: J >= 0")
 
+    # the Lipschitz pair brackets both stretches at the samples
+    sup_op, inf_lo = solved["lipschitz_sup"], solved["lonorm_inf"]
+    stretches = np.stack((samples.p_tau, samples.p)) / np.exp(samples.tau)
+    check("lipschitz_pair", max(np.max(stretches) - sup_op,
+                                inf_lo - np.min(stretches)) / sup_op, 1e-12,
+          f"sup |Dw| = {sup_op:.12g} and inf l(Dw) = {inf_lo:.12g} against "
+          "max and min of (p', p/s) at the samples, over sup |Dw|")
+
     # smallest-stretch bounds by regime, over the edge stretch q/r
-    inf_lo = solved["lonorm_inf"]
     if c >= 0.0:
         check("min_stretch_bound", (q - inf_lo) * r / q, 1e-9,
               "for c >= 0, inf l(Dw) >= q")

@@ -12,6 +12,7 @@ from annuharm import (
     PolarGrid,
     ProblemSpec,
     RadialMetric,
+    SolverConfig,
     area,
     build_profile,
     derivatives_point,
@@ -166,6 +167,17 @@ class TestLipschitzConstant:
         assert sup_op == pytest.approx(1.0, abs=1e-9)
         assert inf_lo == pytest.approx(1.0, abs=1e-9)
 
+    def test_conformal_placed_edge(self):
+        # c = 0 within tol_c = 1e-3, while p(r) = r Q misses q by 1e-4 Q: the
+        # inner end is placed at q, and the pair spans the edge q/r and the
+        # stretch Q of the profile p = Q s (the edge alone gave sup < inf)
+        spec = ProblemSpec(metric=EUCLID, q=0.8, Q=1.0, r=0.8001)
+        config = SolverConfig(tol_c=1e-3)
+        prof = build_profile(spec, solve_c(spec, config), config)
+        assert prof.c == 0.0 and prof.inner == 0.8
+        sup_op, inf_lo = lipschitz_constant(prof, EUCLID)
+        assert sup_op == pytest.approx(1.0, rel=1e-14) and inf_lo == 0.8 / 0.8001
+
     def test_expanding_lower_bound(self, euclid_expanding):
         # c > 0 because log(Q/q) > log(1/r): the smallest stretch stays >= q
         assert euclid_expanding.c > 0.0
@@ -215,7 +227,7 @@ class TestLipschitzConstant:
         prof = build_profile(spec, solve_c(spec))
         assert prof.c > 0.0
         s = np.linspace(r, 1.0, 100_001)
-        sampled = np.max(prof.psi.slope(s, prof.psi.radius(s)))
+        sampled = np.max(prof.p_tau(prof.at_tau(np.log(s))) / s)
         sup_op, _ = lipschitz_constant(prof, wavy)
         assert sampled <= sup_op <= sampled * (1.0 + 1e-8)
 

@@ -106,14 +106,57 @@ def test_table_matches_first_integral(name, q, Q, r):
                                            POWER_CONFIGS[0]])
 def test_radius_independent_of_layout(name, q, Q, r):
     # numpy rounds the log of a reversed or strided view differently from
-    # that of a contiguous array: Psi.radius must not see the difference
-    psi = _solved(name, q, Q, r).psi
+    # that of a contiguous array: profile(s) must not see the difference,
+    # and it is at_tau at the log of a contiguous copy, bitwise
+    prof = _solved(name, q, Q, r)
     s = np.linspace(r, 1.0, 97)
-    alone = np.array([psi.radius(float(x)) for x in s])
-    assert np.array_equal(psi.radius(s), alone)
-    assert np.array_equal(psi.radius(s[::-1]), alone[::-1])
-    assert np.array_equal(psi.radius(s[::3]), alone[::3])
-    assert np.array_equal(psi.radius(s[::-2]), alone[::-2])
+    tau = np.log(s)
+    alone = np.array([prof.profile(float(x)) for x in s])
+    for view in (slice(None), slice(None, None, -1), slice(None, None, 3),
+                 slice(None, None, -2)):
+        assert np.array_equal(prof.profile(s[view]), alone[view])
+        assert np.array_equal(prof.at_tau(tau[view]), alone[view])
+        assert np.array_equal(prof.at_tau(np.log(s[view].copy())),
+                              prof.profile(s[view]))
+
+
+class TestReaders:
+    """The readers of a profile along tau = log s."""
+
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    def test_at_tau_nitsche_closed_form(self, r):
+        prof = euclidean_nitsche_map(r)
+        tau = np.linspace(math.log(r), 0.0, 1000)
+        exact = (r * r * np.exp(-tau) + np.exp(tau)) / (1.0 + r * r)
+        assert np.max(np.abs(prof.at_tau(tau) - exact)) <= 1e-14
+        assert prof.at_tau(0.0) == prof.at_tau(1e-3) == 1.0
+
+    @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS)
+    def test_sample_weights_span_the_modulus(self, name, q, Q, r):
+        # the weights integrate dtau over [log r, 0]; Simpson's rule meets
+        # the square-root end of a Critical anchor to about 1e-8
+        samples = _solved(name, q, Q, r).samples
+        target = math.log(1.0 / r)
+        assert abs(np.sum(samples.weights) - target) <= 1e-7 * target
+        assert samples.tau[0] == math.log(r) and samples.tau[-1] == 0.0
+        assert np.all(np.diff(samples.tau) > 0.0)
+
+    @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS[:6])
+    def test_lipschitz_reads_no_tau(self, name, q, Q, r, monkeypatch):
+        # tau costs one at_v over every sample; the Lipschitz scan, on the
+        # path of every solve, reads p and p_tau alone
+        sizes = []
+        at_v = Psi.at_v
+
+        def counted_at_v(self, v):
+            sizes.append(np.size(v))
+            return at_v(self, v)
+
+        prof = _solved(name, q, Q, r)
+        monkeypatch.setattr(Psi, "at_v", counted_at_v)
+        lipschitz_constant(prof, prof.spec.metric)
+        assert sizes and max(sizes) < prof.samples.p.size
+        assert "tau" not in vars(prof.samples)
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.inf, -math.inf, math.nan,

@@ -86,7 +86,7 @@ def test_lipschitz_matrix(name, outer, ratio, lift):
     profile = build_profile(ProblemSpec(metric=metric, q=q, Q=Q, r=r), c)
     s = np.linspace(r, 1.0, 4097)
     p = profile.profile(s)
-    tangential, radial = p / s, profile.psi.slope(s, p)
+    tangential, radial = p / s, profile.p_tau(p) / s
     order = np.sign(radial - tangential)
     # c/rho(p) may round away next to p^2 (order 0), but never reverses it
     lost = abs(c) <= 16.0 * np.finfo(float).eps * p * p * metric.eval(p)

@@ -428,9 +428,10 @@ EXPANDING_FAILURES = {
 
 class TestScaleFree:
     def test_verify_fuzz(self):
-        # every 5th config: a verified solution or a typed numerical error
+        # every 7th config, which visits all 10 metrics of the round robin: a
+        # verified solution or a typed numerical error
         failed = []
-        for name, q, Q, r in _verify_fuzz()[::5]:
+        for name, q, Q, r in _verify_fuzz()[::7]:
             try:
                 report = run_full_suite(
                     ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r))
