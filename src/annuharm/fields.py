@@ -198,12 +198,14 @@ def kk_constants(profile: MinimizerProfile, metric: RadialMetric) -> tuple[float
     """Distortion constants (K, K') with K = 1 and
     K' = |c| / (r^2 inf_{[q,Q]} rho): pointwise ||Dw||^2 <= 2 J + K'.
     ``metric``, read for rho, must be the profile's own; one with
-    ``endpoint_minima`` is read at q and Q, any other scanned."""
+    ``endpoint_minima`` is read at q and Q, any other scanned to a step of
+    1e-12 of the span."""
     spec = profile.spec
     if metric.endpoint_minima:
         rho_inf = float(np.min(metric.eval(np.array([spec.q, spec.Q]))))
     else:
-        _, rho_inf = minimize_scalar(metric.eval, spec.q, spec.Q, 1e-12)
+        _, rho_inf = minimize_scalar(metric.eval, spec.q, spec.Q,
+                                     1e-12 * (spec.Q - spec.q))
     return 1.0, abs(profile.c) / (spec.r**2 * rho_inf)
 
 

@@ -137,9 +137,10 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
     weight winning (q on a tie, as the scan's argmin takes the first); one
     with a ``constant_weight`` has its critical radius at the midpoint of
     [q, Q], which scales with the annulus, and c0 = -constant_weight.  Any
-    other metric is scanned.  Raises OutOfDomain where y^2 rho(y) at a
-    point read is not a normal float: an infinite or subnormal weight
-    leaves the modulus integrand without the digits that resolve c."""
+    other metric is scanned to a step of 1e-13 of the span, which scales
+    with it too.  Raises OutOfDomain where y^2 rho(y) at a point read is
+    not a normal float: an infinite or subnormal weight leaves the modulus
+    integrand without the digits that resolve c."""
     _check_interval(metric, q, Q)
 
     def weight(y):
@@ -159,7 +160,7 @@ def _critical_info(metric: RadialMetric, q: float, Q: float) -> tuple[float, flo
             return 0.5 * (q + Q), -metric.constant_weight
         k = int(w[1] < w[0])
         return float(ends[k]), -float(w[k])
-    y_star, w_min = minimize_scalar(weight, q, Q, 1e-13)
+    y_star, w_min = minimize_scalar(weight, q, Q, 1e-13 * (Q - q))
     return y_star, -w_min
 
 
@@ -524,12 +525,12 @@ def critical_inner_radius(metric: RadialMetric, q: float, Q: float) -> float:
 
 
 def _reread(psi: Psi, c: float) -> tuple[float, float] | None:
-    """(mu, mu') at c read off the Gauss nodes of psi, a table at another
-    constant (see Psi._moments), or None where they cannot be trusted: c
-    lies nearer c0 than psi.c within the near-critical band, where the
-    boundary layer at c is narrower than any psi resolved; the error
-    estimate exceeds the tolerance a fresh table meets; or a value is not
-    finite."""
+    """(mu, mu') at c read off the Gauss nodes of psi, the latest table
+    solve_c built at another constant (see Psi._moments), or None where
+    they cannot be trusted: c lies nearer c0 than psi.c within the
+    near-critical band, where the boundary layer at c is narrower than any
+    psi resolved; the error estimate exceeds the tolerance a fresh table
+    meets; or a value is not finite."""
     if c < psi.c and _near_critical(c, psi.critical_c):
         return None
     mu, error, slope = psi._moments(c)
@@ -556,14 +557,15 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
     mu'(c) is infinite at c0, but 1/mu is smooth in x there and nearly
     linear for large c, where mu ~ 1/sqrt(c), and tends to 0.  mu(0) =
     log(Q/q) in closed form.  An iterate reads mu and mu' off the Gauss
-    nodes of the table nearest c0 built so far in the call where _reread
-    trusts them, and builds its own table otherwise; the returned c is
-    checked on its own table, which build_profile then reads.
+    nodes of the latest table built in the call where _reread trusts
+    them, and otherwise builds its own table, which the next iterate
+    reads; no read crosses calls.  The returned c is checked on its own
+    table, which build_profile then reads.
     """
     metric, q, Q = spec.metric, spec.q, spec.Q
     c_crit = _critical(metric, q, Q)[1]
     target = math.log(1.0 / spec.r)
-    # the table nearest c0 built in this call, whose nodes the iterates read
+    # the latest table built in this call, whose nodes the iterates read
     nodes = None
 
     def modulus(c):
@@ -575,12 +577,10 @@ def solve_c(spec: ProblemSpec, config: SolverConfig = SolverConfig()) -> float:
         if nodes is not None and (read := _reread(nodes, c)) is not None:
             return read
         try:
-            psi = _psi(metric, q, Q, c)
+            nodes = _psi(metric, q, Q, c)
         except DivergentModulus:
             return math.inf, math.nan
-        if nodes is None or c < nodes.c:
-            nodes = psi
-        return psi.total, psi._moments(c)[2]
+        return nodes.total, nodes._moments(c)[2]
 
     def miss(mu, slope, x):
         """target (mu - target) / mu, which is mu - target to first order
@@ -697,15 +697,26 @@ class MinimizerProfile:
     ``psi`` is the first integral, whose layout only this class reads:
     ``at_tau`` inverts -tau = Psi(p), ``inverse(p)`` is exp(-Psi(p)),
     ``p_tau(p)`` is s p', ``samples`` and ``integrate`` read along tau.
-    ``c`` is the variational constant of the modulus equation and
-    ``critical_c`` the critical constant of the (q, Q, metric) triple.
+    ``c``, ``critical_c`` and ``classification`` are read from the table.
     """
 
-    c: float
-    psi: Psi
-    classification: str
     spec: ProblemSpec
-    critical_c: float
+    psi: Psi
+
+    @property
+    def c(self) -> float:
+        """The variational constant of the modulus equation."""
+        return self.psi.c
+
+    @property
+    def critical_c(self) -> float:
+        """The critical constant of the (q, Q, metric) triple."""
+        return self.psi.critical_c
+
+    @property
+    def classification(self) -> str:
+        """The class of c (see _classify)."""
+        return _classify(self.psi.c, self.psi.critical_c)
 
     @cached_property
     def _solved_inner(self) -> tuple[float, float]:
@@ -815,7 +826,7 @@ def build_profile(
     spec: ProblemSpec, c: float, config: SolverConfig = SolverConfig()
 ) -> MinimizerProfile:
     """Build the first integral Psi for c and package the profile read from
-    it (profile, inverse, classification).
+    it (profile, inverse, classification, all read off the table).
 
     The class is read from c as solve_c returns it: Conformal for c == 0,
     Critical for c == c0 (both exact returns), else by the sign of c.
@@ -824,9 +835,7 @@ def build_profile(
     solve_c on the same metric and radii it is the table of its root.
     """
     psi = _psi(spec.metric, spec.q, spec.Q, c)
-    profile = MinimizerProfile(c=c, psi=psi, spec=spec,
-                               classification=_classify(c, psi.critical_c),
-                               critical_c=psi.critical_c)
+    profile = MinimizerProfile(spec, psi)
     ratio, gap, reached = _modulus_gap(profile, config.tol_c)
     if ratio > 1.0:
         raise ProfileMismatch(
@@ -847,6 +856,6 @@ def euclidean_nitsche_map(r: float) -> MinimizerProfile:
     spec = ProblemSpec(metric=parse_metric("euclidean"), q=2.0 * r / (1.0 + r * r),
                        Q=1.0, r=r)
     # -4 r^2/(1+r^2)^2 equals -q^2; computing it that way makes the radicand
-    # vanish bitwise at the inner boundary
+    # vanish bitwise at the inner boundary and c the critical constant exactly
     c = -(spec.q * spec.q)
-    return MinimizerProfile(c, Psi(spec.metric, spec.q, 1.0, c), CRITICAL, spec, c)
+    return MinimizerProfile(spec, Psi(spec.metric, spec.q, 1.0, c))

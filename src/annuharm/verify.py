@@ -115,21 +115,12 @@ class VerificationReport:
         raise KeyError(name)
 
 
-class _Stencil(NamedTuple):
-    """The stencil field of one step h: interior grid points whose full
-    +/-h stencils stay inside the annulus, stacked as (5, N) (center, +h,
-    -h, +ih, -ih), their radii s and the profile p(s) there."""
-
-    h: float
-    z: np.ndarray
-    s: np.ndarray
-    p: np.ndarray
-
-
-def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
+def _stencil(profile: MinimizerProfile,
+             h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stencil field of step h on the interior _STENCIL_S x _STENCIL_T
-    grid (r + 2h to 1 - 2h), with the profile solved once for both
-    residual kernels."""
+    grid (r + 2h to 1 - 2h), whose full +/-h stencils stay inside the
+    annulus: the points stacked as (5, N) (center, +h, -h, +ih, -ih), their
+    radii s and the profile p(s) there."""
     r = profile.spec.r
     lo, hi = r + 2.0 * h, 1.0 - 2.0 * h
     if not lo < hi:
@@ -141,7 +132,7 @@ def _stencil(profile: MinimizerProfile, h: float) -> _Stencil:
     z = (s[:, None] * np.exp(1j * t)[None, :]).ravel()
     pts = np.stack([z, z + h, z - h, z + 1j * h, z - 1j * h])
     radii = np.abs(pts)
-    return _Stencil(h, pts, radii, profile.profile(radii))
+    return pts, radii, profile.profile(radii)
 
 
 def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> float:
@@ -154,13 +145,8 @@ def pde_residual(profile: MinimizerProfile, metric: RadialMetric, h: float) -> f
     first integral to rounding accuracy, so the result is pure stencil
     truncation error (second order in h).
     """
-    return float(np.max(np.abs(_pde_residual(_stencil(profile, h), metric))))
-
-
-def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> np.ndarray:
-    """tau at the stencil's centres."""
-    h = stencil.h
-    w = stencil.p * stencil.z / stencil.s
+    z, s, p = _stencil(profile, h)
+    w = p * z / s
 
     center = w[0]
     h_zzb = (w[1] + w[2] + w[3] + w[4] - 4.0 * center) / (4.0 * h * h)
@@ -171,7 +157,7 @@ def _pde_residual(stencil: _Stencil, metric: RadialMetric) -> np.ndarray:
 
     pw = np.abs(center)
     log_rho_w = 0.5 * (metric.deriv(pw) / metric.eval(pw)) * np.conj(center) / pw
-    return h_zzb + log_rho_w * h_z * h_zb
+    return float(np.max(np.abs(h_zzb + log_rho_w * h_z * h_zb)))
 
 
 def general_harmonic_residual(
@@ -180,16 +166,10 @@ def general_harmonic_residual(
     """Max modulus of the finite-difference d/dzbar of the sampled field
     rho(w) w_z conj(w_zbar); identically zero for a solved profile, whose
     field is the meromorphic c/(4 z^2)."""
-    field = _general_harmonic_residual(profile, _stencil(profile, h), metric)
+    z, s, p = _stencil(profile, h)
+    hopf = _columns(profile, metric, s, z / s, p).hopf
+    field = ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * h)
     return float(np.max(np.abs(field)))
-
-
-def _general_harmonic_residual(profile: MinimizerProfile, stencil: _Stencil,
-                               metric: RadialMetric) -> np.ndarray:
-    """d/dzbar of the field at the stencil's centres."""
-    s = stencil.s
-    hopf = _columns(profile, metric, s, stencil.z / s, stencil.p).hopf
-    return ((hopf[1] - hopf[2]) + 1j * (hopf[3] - hopf[4])) / (4.0 * stencil.h)
 
 
 class _ChartResidual(NamedTuple):

@@ -164,12 +164,30 @@ class TestWork:
         ("sphere", 0.5, 1.0, 0.7, 2),
         # Subcritical: the collar probe, c0 and the root
         ("sphere", 0.5, 1.0, 0.4, 3),
+        # Expanding at c = 1.1e5: the table at c = 2.6e-4 that brackets the
+        # root cannot serve iterates that far out, the latest table can
+        ("power:4", 0.2105, 9.07, 0.6, 4),
     ])
     def test_iterates_read_built_tables(self, counts, name, q, Q, r, tables):
         # the iterates of the root search read mu and mu' off the Gauss
-        # nodes of a table already built
+        # nodes of the latest table built in the call
         solve_c(ProblemSpec(metric=parse_metric(name), q=q, Q=Q, r=r))
         assert counts["psi"] <= tables
+
+    def test_sweep_builds(self, counts):
+        # three 100-row sweeps, each row solved by verify._solved from the
+        # caches the row before it left
+        builds = []
+        for name, q, Q, r_min, cap in (("euclidean", "0.8", "1", "0.5", 247),
+                                       ("sphere", "0.5", "1", "0.3", 201),
+                                       ("power:4", "0.2105", "9.07", "0.5", 377)):
+            counts["psi"] = 0
+            args = ["sweep", "--metric", name, "--q", q, "--Q", Q, "--r_min",
+                    r_min, "--r_max", "0.95", "--r_steps", "100"]
+            with redirect_stdout(io.StringIO()):
+                assert main(args) == 0
+            builds.append((counts["psi"], cap))
+        assert all(built <= cap for built, cap in builds), builds
 
     @pytest.mark.parametrize("command, extra", [
         ("solve", ["--r", "0.7"]),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import annuharm.solver as solver
 from annuharm import (
     ProblemSpec,
     area,
@@ -26,6 +27,7 @@ from annuharm import (
     solve_c,
 )
 from annuharm.fields import field_arrays
+from annuharm.metrics import RadialMetric
 
 NAMES = ["euclidean", "inverse_r", "sphere", "hyperbolic", "power:-3",
          "power:-2", "power:-1.5", "power:1", "power:2", "power:4"]
@@ -140,3 +142,42 @@ def test_exact_scaling(k):
             ulps = [(x - y) / np.spacing(y) for x, y in zip(got[:4], want[:4])]
             missed.append((name, q, r, ulps, got[4], kind))
     assert not missed
+
+
+def _scanned_weight(lam):
+    """A metric that declares no minima, so its critical data and inf rho
+    are scanned: on [lam, 2 lam] its weight y^2 rho = 1 + ((y/lam - 1.37) /
+    0.3)^2 has its minimum 1 inside, at y = 1.37 lam."""
+    def weight(y):
+        return 1.0 + ((y / lam - 1.37) / 0.3) ** 2
+
+    def slope(y):
+        return (y / lam - 1.37) / (0.045 * lam)
+
+    return RadialMetric(
+        eval=lambda y: weight(y) / (y * y),
+        deriv=lambda y: slope(y) / (y * y) - 2.0 * weight(y) / y**3,
+        deriv2=lambda y: (1.0 / (0.045 * lam * lam * y * y)
+                          - 4.0 * slope(y) / y**3 + 6.0 * weight(y) / y**4),
+        valid_interval=(0.0, math.inf), name="scanned")
+
+
+def _scanned(lam):
+    """(y*, c0, c at r = 1e-2, 1e-4, 1e-8, K') of _scanned_weight(lam) on
+    [lam, 2 lam]."""
+    metric = _scanned_weight(lam)
+    y_star, c0 = solver._critical(metric, lam, 2.0 * lam)
+    cs = [solve_c(ProblemSpec(metric, lam, 2.0 * lam, r))
+          for r in (1e-2, 1e-4, 1e-8)]
+    profile = build_profile(ProblemSpec(metric, lam, 2.0 * lam, 1e-2), cs[0])
+    return y_star, c0, *cs, kk_constants(profile, metric)[1]
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_scanned_critical_data_scale(k):
+    # the scans' steps are fractions of the span, so a metric without
+    # declared minima scales like a built-in: y* and K' by lam and lam^2, c0
+    # and c (which carry the unit of the weight, here none) not at all
+    lam = 2.0 ** k
+    y_star, c0, *cs, k_prime = _scanned(1.0)
+    assert _scanned(lam) == (lam * y_star, c0, *cs, lam * lam * k_prime)
