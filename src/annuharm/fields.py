@@ -159,10 +159,11 @@ def lipschitz_constant(
     + c/rho, d log p'/dy has the sign of T(y) = y - c (rho'/rho) / (2 rho) -
     sqrt(R), scanned at the profile's samples (which hold p and sqrt(R) =
     p_tau), each sign change refined in y to 1e-12 of the span of p; p' =
-    p_tau/s is read there and at the ends, with s from ``inverse``.  For c =
-    0, p' = p/s along the profile, and an inner end placed at q (see
-    ``MinimizerProfile.inner``) may lie on either side: the pair spans
-    both.  ``metric`` must be the profile's own: the profile's is read.
+    p_tau/s is read there, with s from ``inverse``, and at the ends, with s
+    = r and 1 as the samples take them.  For c = 0, p' = p/s along the
+    profile, and an inner end placed at q (see ``MinimizerProfile.inner``)
+    may lie on either side: the pair spans both.  ``metric`` must be the
+    profile's own: the profile's is read.
     """
     c, samples = profile.c, profile.samples
     rho, drho = profile.spec.metric.eval, profile.spec.metric.deriv
@@ -178,16 +179,18 @@ def lipschitz_constant(
     # p' is stationary along a run of zeros of T (all of [q, Q] for c = 0):
     # the run's ends stand for it
     ends = zero[1:-1] & ~(zero[:-2] & zero[2:])
-    candidates = [y[0], y[-1], *y[1:-1][ends]]
+    inside = list(y[1:-1][ends])
     xtol = 1e-12 * (y[-1] - y[0])
     for k in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        candidates.append(find_root_bracketed(
+        inside.append(find_root_bracketed(
             lambda x: turning(x, rho(x), profile.p_tau(x)), y[k], y[k + 1],
             0.0, xtol=xtol, f_lo=t[k], f_hi=t[k + 1]))
-    candidates = np.array(candidates)
-    slopes = profile.p_tau(candidates) / profile.inverse(candidates)
-    extreme = slopes.min() if c <= 0.0 else slopes.max()
     r = profile.spec.r
+    s = [r, 1.0]
+    if inside:
+        s.extend(profile.inverse(np.array(inside)))
+    slopes = profile.p_tau(np.array([y[0], y[-1], *inside])) / np.array(s)
+    extreme = slopes.min() if c <= 0.0 else slopes.max()
     edge = profile.inner / r
     if c == 0.0 and profile.inner != profile.profile(r):
         return max(edge, float(slopes.max())), min(edge, float(extreme))

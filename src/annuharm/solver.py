@@ -391,11 +391,11 @@ class Psi:
         both edges.  Every target is bracketed and started alike, so a
         point's v does not depend on the targets asked with it.
 
-        Above the critical constant the step is taken in y, where dPsi/dy =
-        -1/sqrt(radicand) is finite and nonzero at the anchor; dPsi/dv
-        vanishes there, so a step in v would gain one bit per sweep next to
-        it.  At the critical constant the radicand vanishes at the anchor,
-        and the step stays in v.  A step leaving the bracket is replaced by
+        Each step is taken in y: dy = (Psi - target) sqrt(radicand), mapped
+        back to v.  dPsi/dv vanishes at the anchor, so a step in v would gain
+        one bit per sweep next to it.  Where the radicand vanishes (at a
+        critical anchor, or at q for a target below it) the step is 0 and the
+        point ends there.  A step leaving the bracket is replaced by
         bisection in v.
         Below q the bracket extends to a floor, and where the radicand turns
         negative the profile stops at its zero, as the profile equation does.
@@ -416,7 +416,6 @@ class Psi:
         # -dy/dPsi = sqrt(radicand) at both ends of each bracket and at q
         root = np.sqrt(np.maximum(
             self._radicand(np.concatenate((y_lo, y_hi, [self.q]))), 0.0))
-        slope_q = root[-1]
         drop = tail[k] - tail[k + 1]
         t = (tail[k] - target) / drop
         # the cubic Hermite y(t) with y(0) = y_lo, y(1) = y_hi and slopes
@@ -425,15 +424,12 @@ class Psi:
         rise = y_hi - y_lo
         cubic = y_lo + t * (m_lo + t * ((3.0 * rise - 2.0 * m_lo - m_hi)
                                         + t * (m_lo + m_hi - 2.0 * rise)))
-        y0 = np.where(below, self.q - (target - tail[0]) * slope_q, cubic)
+        y0 = np.where(below, self.q - (target - tail[0]) * root[-1], cubic)
         v = np.clip(self.v_of_y(y0), lo, hi)
         tol = 2.0**-50 * (edges[-1] - edges[0])
-        in_y = self.c > self.critical_c
         # a few ulps of the profile's largest radius
         tol_y = 2.0**-50 * self.Q
-        # the profile cannot leave q when the radicand vanishes there
-        active = ~(below & (slope_q == 0.0))
-        v[~active] = edges[0]
+        active = np.ones(v.size, dtype=bool)
         for _ in range(_NEWTON_STEPS):
             idx = np.flatnonzero(active)
             if idx.size == 0:
@@ -445,16 +441,11 @@ class Psi:
             left = ~np.isfinite(miss) | (miss > 0.0)
             lo[idx] = np.where(left, va, lo[idx])
             hi[idx] = np.where(left, hi[idx], va)
+            y = self.y_of_v(va)
             with np.errstate(divide="ignore", invalid="ignore"):
-                if in_y:
-                    y = self.y_of_v(va)
-                    step = miss * np.sqrt(np.maximum(self._radicand(y), 0.0))
-                    new = self.v_of_y(y + step)
-                    converged = np.abs(step) <= tol_y
-                else:
-                    step = np.where(miss == 0.0, 0.0, miss / self.g(va))
-                    new = va + step
-                    converged = np.abs(step) <= tol
+                step = miss * np.sqrt(np.maximum(self._radicand(y), 0.0))
+                new = self.v_of_y(y + step)
+            converged = np.abs(step) <= tol_y
             # a converged step may round onto the bracket edge it just set
             keep = converged | ((new > lo[idx]) & (new < hi[idx]))
             new = np.where(keep, new, 0.5 * (lo[idx] + hi[idx]))

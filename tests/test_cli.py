@@ -328,6 +328,23 @@ class TestVerify:
                              "--Q", "1", "--r", r)
         assert got == code, text
 
+    @pytest.mark.parametrize("q, r, code", [
+        ("0.9999994994997501", "0.999", 0),
+        # log(1/r) = 1e-4: pde_residual alone fails, its step below the
+        # resolution of p
+        ("0.9999999949995", "0.9999", 3),
+    ])
+    def test_thin_critical_annulus(self, q, r, code):
+        # q = 2r/(1 + r^2), the critical pair: p is solved next to the
+        # anchor q, where the radicand vanishes
+        got, text = run_main("verify", "--metric", "euclidean", "--q", q,
+                             "--Q", "1", "--r", r)
+        assert got == code, text
+        if code:
+            failed = [c["name"] for c in json.loads(text)["checks"]
+                      if not c["passed"]]
+            assert failed == ["pde_residual"]
+
     def test_tampered_tolerance_fails(self):
         out = run_cli("verify", "--metric", "euclidean", "--q", "0.8",
                       "--Q", "1", "--r", "0.5", "--tol", "1e-30")

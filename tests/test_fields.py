@@ -166,6 +166,8 @@ class TestLipschitzConstant:
         sup_op, inf_lo = lipschitz_constant(euclid_conformal, EUCLID)
         assert sup_op == pytest.approx(1.0, abs=1e-9)
         assert inf_lo == pytest.approx(1.0, abs=1e-9)
+        # both read p' = p/s at the ends, where s is r and 1 exactly
+        assert sup_op >= inf_lo
 
     def test_conformal_placed_edge(self):
         # c = 0 within tol_c = 1e-3, while p(r) = r Q misses q by 1e-4 Q: the

@@ -51,12 +51,14 @@ def _solved(name, q, Q, r):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+    # r = 0.999 and up: q = 2r/(1 + r^2) within 5e-7 of Q, where every
+    # point lies next to the critical anchor q
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.8, 0.999, 0.9999, 0.99999])
     def test_nitsche_closed_form(self, r):
         prof = euclidean_nitsche_map(r)
         s = np.linspace(r, 1.0, 1000)
         exact = (r * r + s * s) / (s * (1.0 + r * r))
-        assert np.max(np.abs(prof.profile(s) - exact)) <= 1e-14
+        assert np.all(np.abs(prof.profile(s) - exact) <= 8.0 * np.spacing(exact))
         # the critical profile touches q with zero slope
         assert prof.profile(r) == prof.spec.q and prof.slope(r) == 0.0
 
@@ -144,7 +146,8 @@ class TestReaders:
     @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS[:6])
     def test_lipschitz_reads_no_tau(self, name, q, Q, r, monkeypatch):
         # tau costs one at_v over every sample; the Lipschitz scan, on the
-        # path of every solve, reads p and p_tau alone
+        # path of every solve, reads p and p_tau alone, and calls inverse
+        # only for candidates between the ends, which most configs lack
         sizes = []
         at_v = Psi.at_v
 
@@ -155,7 +158,7 @@ class TestReaders:
         prof = _solved(name, q, Q, r)
         monkeypatch.setattr(Psi, "at_v", counted_at_v)
         lipschitz_constant(prof, prof.spec.metric)
-        assert sizes and max(sizes) < prof.samples.p.size
+        assert max(sizes, default=0) < prof.samples.p.size
         assert "tau" not in vars(prof.samples)
 
 
@@ -216,6 +219,29 @@ def test_newton_in_y_at_anchor(sweeps):
     prof = build_profile(spec, solve_c(spec))
     assert prof.psi.anchor == spec.q and prof.c > prof.critical_c
     assert sweeps == [sweeps[0]] and sweeps[0] <= 2
+
+
+def test_newton_in_y_at_critical_anchor(sweeps):
+    # at the critical constant the radicand vanishes at the anchor q, where
+    # the step in y is 0; every solve of the suite still ends within 4 sweeps
+    spec = ProblemSpec(metric=EUCLID, q=0.8, Q=1.0, r=0.5)
+    assert run_full_suite(spec).all_passed
+    assert sweeps and max(sweeps) <= 4
+
+
+def test_critical_anchor_at_outer_radius():
+    # w = y^2 rho = 1/y for power:-3: y* = Q = 1, c0 = -1, and the radicand
+    # y^2 (1 - y) vanishes at the anchor Q, where p = sech^2(tau/2).  The
+    # targets 1e-k of the modulus from either end; the one at 1.8e-6 reads Q
+    # itself, as nearer Q than about 2e-6 in v the radicand rounds to 0 at
+    # the Gauss nodes of at_v (ROADMAP item 3)
+    metric = parse_metric("power:-3")
+    psi = Psi(metric, 0.5, 1.0, critical_constant(metric, 0.5, 1.0))
+    assert psi.critical_c == psi.c == -1.0 and psi.anchor == 1.0
+    small = 10.0 ** -np.arange(1, 17)
+    target = psi.total * np.concatenate((small, 1.0 - small))
+    p = psi.y_of_v(psi.v_of_log(target))
+    assert np.max(np.abs(p - np.cosh(0.5 * target) ** -2)) <= 2e-12
 
 
 @pytest.mark.parametrize("name, q, Q, r", TWELVE_CONFIGS + POWER_CONFIGS)
